@@ -42,18 +42,15 @@ class BoundaryOperatorSet:
     """Interior-sized differentiation matrices with built-in conditions.
 
     ``recovery`` is the N x n_interior map from interior unknowns to a full
-    grid-line vector satisfying the boundary conditions; ``interior_range``
-    is the half-open range of grid indices the unknowns occupy.
+    grid-line vector satisfying the boundary conditions.
     """
 
     bc_kind: str
     n_interior: int
     first: np.ndarray
     second: np.ndarray
-    third: np.ndarray
     fourth: np.ndarray
     recovery: np.ndarray
-    interior_range: tuple[int, int]
     grid: Grid1D
 
 
@@ -64,7 +61,7 @@ def build_ss(dm: DiffMatrices) -> BoundaryOperatorSet:
     interior blocks of the full matrices.  Zero end curvature makes the
     fourth derivative act as the interior second-derivative block applied
     to a curvature field that itself vanishes at the ends, hence
-    fourth = second_int @ second_int and third = first_int @ second_int.
+    fourth = second_int @ second_int.
     """
     n = dm.n
     if n < 4:
@@ -78,10 +75,8 @@ def build_ss(dm: DiffMatrices) -> BoundaryOperatorSet:
         n_interior=n - 2,
         first=a_int,
         second=b_int,
-        third=a_int @ b_int,
         fourth=b_int @ b_int,
         recovery=r,
-        interior_range=(1, n - 1),
         grid=dm.grid,
     )
 
@@ -126,10 +121,8 @@ def build_clamped(dm: DiffMatrices) -> BoundaryOperatorSet:
         n_interior=ncut,
         first=(dm.first @ r)[rows],
         second=(dm.second @ r)[rows],
-        third=(dm.third @ r)[rows],
         fourth=(dm.fourth @ r)[rows],
         recovery=r,
-        interior_range=(2, n - 2),
         grid=dm.grid,
     )
 
@@ -155,8 +148,6 @@ class DeltaPlan:
     """
 
     grid: Grid1D
-    delta: float
-    bc_kind: str
     boundary_rows: tuple[int, int]
     delta_rows: tuple[int, int]
     derivative_order: int
@@ -181,8 +172,6 @@ def build_delta_rows(grid: Grid1D, delta: float, bc_kind: str = CLAMPED) -> Delt
     moved = Grid1D(nodes, "delta_modified")
     return DeltaPlan(
         grid=moved,
-        delta=delta,
-        bc_kind=bc_kind,
         boundary_rows=(0, n - 1),
         delta_rows=(1, n - 2),
         derivative_order=1 if bc_kind == CLAMPED else 2,

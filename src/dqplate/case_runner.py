@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from . import linear_bending, newton_solver, plate_model
+from . import dq_core, linear_bending, newton_solver, plate_model
 from .bc_builder import BC_KINDS, CLAMPED
 from .dq_core import CHEBYSHEV, UNIFORM
 from .newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC
@@ -37,8 +36,6 @@ _GRID_ALIASES = {
     "chebyshev_mapped": CHEBYSHEV,
 }
 _JACOBIAN_ALIASES = {"sjt": SJT_ANALYTIC, "fd": FINITE_DIFFERENCE}
-
-WORKERS_ENV = "DQPLATE_WORKERS"
 
 
 class CaseError(ValueError):
@@ -67,114 +64,166 @@ class Case:
     conv_delta: float
 
 
-def _expect_mapping(node, path):
+# ---------------------------------------------------------------------------
+# Case schema: every object is a table of key -> (check, default).  A check
+# is a nested table or a function of (value, field path); a key that is
+# absent or null takes its default, and _REQUIRED makes it an error.
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _read(node, schema: dict, path: str) -> dict:
+    """Validate one JSON object against a schema table; unknown keys fail."""
+    where = path or "case"
     if not isinstance(node, dict):
-        raise CaseError(f"{path}: expected an object")
-    return node
-
-
-def _take(node: dict, path: str, key: str, required=False, default=None):
-    if key in node:
-        return node.pop(key)
-    if required:
-        raise CaseError(f"{path}: missing required key '{key}'")
-    return default
-
-
-def _no_leftovers(node: dict, path: str) -> None:
-    if node:
-        raise CaseError(f"{path}: unknown key '{sorted(node)[0]}'")
-
-
-def _number(value, path, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CaseError(f"{path}: expected a number")
-    if positive and value <= 0:
-        raise CaseError(f"{path}: must be positive")
-    return float(value)
-
-
-def _integer(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CaseError(f"{path}: expected an integer")
-    return value
-
-
-def _grid_kind(value, path):
-    if value not in _GRID_ALIASES:
-        raise CaseError(
-            f"{path}: unknown grid kind {value!r}; expected one of "
-            f"{sorted(_GRID_ALIASES)}"
-        )
-    return _GRID_ALIASES[value]
-
-
-def _parse_material(node, path):
-    node = dict(_expect_mapping(node, path))
-    if "e" in node:
-        e = _number(_take(node, path, "e", required=True), f"{path}.e", positive=True)
-        nu = _number(_take(node, path, "nu", required=True), f"{path}.nu")
-        _no_leftovers(node, path)
-        return {"e1": e, "e2": e, "nu12": nu, "g12": e / (2.0 * (1.0 + nu))}
+        raise CaseError(f"{where}: expected an object")
     out = {}
-    for key in ("e1", "e2", "g12"):
-        out[key] = _number(
-            _take(node, path, key, required=True), f"{path}.{key}", positive=True
-        )
-    out["nu12"] = _number(_take(node, path, "nu12", required=True), f"{path}.nu12")
-    _no_leftovers(node, path)
+    for key, (check, default) in schema.items():
+        value = node.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise CaseError(f"{where}: missing required key '{key}'")
+            out[key] = default
+        else:
+            sub = f"{path}.{key}" if path else key
+            out[key] = (
+                _read(value, check, sub) if isinstance(check, dict) else check(value, sub)
+            )
+    unknown = sorted(set(node) - set(schema))
+    if unknown:
+        raise CaseError(f"{where}: unknown key '{unknown[0]}'")
     return out
 
 
-def _parse_plate(node, path) -> PlateSpec:
-    node = dict(_expect_mapping(node, path))
-    a = _number(_take(node, path, "a", required=True), f"{path}.a", positive=True)
-    b_raw = _take(node, path, "b")
-    b = a if b_raw is None else _number(b_raw, f"{path}.b", positive=True)
-    h = _number(_take(node, path, "h", required=True), f"{path}.h", positive=True)
-    material = _parse_material(
-        _take(node, path, "material", required=True), f"{path}.material"
-    )
-    bc = _take(node, path, "bc", required=True)
-    if bc not in BC_KINDS:
-        raise CaseError(f"{path}.bc: unknown kind {bc!r}; expected one of {BC_KINDS}")
-    q = _number(_take(node, path, "q", required=True), f"{path}.q")
-    grid = dict(_expect_mapping(_take(node, path, "grid", required=True), f"{path}.grid"))
-    nx = _integer(_take(grid, f"{path}.grid", "nx", required=True), f"{path}.grid.nx")
-    ny = _integer(_take(grid, f"{path}.grid", "ny", required=True), f"{path}.grid.ny")
-    kind = _grid_kind(
-        _take(grid, f"{path}.grid", "kind", default="chebyshev"), f"{path}.grid.kind"
-    )
-    _no_leftovers(grid, f"{path}.grid")
-    _no_leftovers(node, path)
+def _scalar(kind, noun: str, ok=None, rule: str = ""):
+    """Check for one JSON scalar of type ``kind`` that satisfies ``ok``."""
+
+    def check(value, path):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise CaseError(f"{path}: expected {noun}")
+        if kind is _NUMBER and not math.isfinite(value):
+            raise CaseError(f"{path}: must be finite")
+        if ok is not None and not ok(value):
+            raise CaseError(f"{path}: {rule}")
+        return float(value) if kind is _NUMBER else value
+
+    return check
+
+
+def _choice(options: dict):
+    def check(value, path):
+        if not isinstance(value, str) or value not in options:
+            raise CaseError(
+                f"{path}: unknown value {value!r}; expected one of {sorted(options)}"
+            )
+        return options[value]
+
+    return check
+
+
+def _list_of(item):
+    def check(value, path):
+        if not isinstance(value, list) or not value:
+            raise CaseError(f"{path}: expected a non-empty list")
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+    return check
+
+
+_number = _scalar(_NUMBER, "a number")
+_positive = _scalar(_NUMBER, "a number", lambda x: x > 0, "must be positive")
+_poisson = _scalar(_NUMBER, "a number", lambda x: 0 <= x < 1, "must lie in [0, 1)")
+_count = _scalar(int, "an integer", lambda x: x >= 1, "must be at least 1")
+_grid_size = _scalar(
+    int, "an integer", lambda x: 5 <= x <= dq_core.MAX_POINTS,
+    f"must be in [5, {dq_core.MAX_POINTS}]",
+)
+_boolean = _scalar(bool, "a boolean")
+_grid_kind = _choice(_GRID_ALIASES)
+
+_ISOTROPIC = {"e": (_positive, _REQUIRED), "nu": (_poisson, _REQUIRED)}
+_ORTHOTROPIC = {
+    "e1": (_positive, _REQUIRED),
+    "e2": (_positive, _REQUIRED),
+    "g12": (_positive, _REQUIRED),
+    "nu12": (_number, _REQUIRED),
+}
+
+
+def _material(node, path) -> dict:
+    if not (isinstance(node, dict) and "e" in node):
+        return _read(node, _ORTHOTROPIC, path)
+    iso = _read(node, _ISOTROPIC, path)
+    e, nu = iso["e"], iso["nu"]
+    return {"e1": e, "e2": e, "nu12": nu, "g12": e / (2.0 * (1.0 + nu))}
+
+
+_PLATE = {
+    "a": (_positive, _REQUIRED),
+    "b": (_positive, None),  # defaults to a
+    "h": (_positive, _REQUIRED),
+    "material": (_material, _REQUIRED),
+    "bc": (_choice({k: k for k in BC_KINDS}), _REQUIRED),
+    "q": (_number, _REQUIRED),
+    "grid": (
+        {
+            "nx": (_grid_size, _REQUIRED),
+            "ny": (_grid_size, _REQUIRED),
+            "kind": (_grid_kind, CHEBYSHEV),
+        },
+        _REQUIRED,
+    ),
+}
+
+
+def _plate(node, path) -> PlateSpec:
+    fields = _read(node, _PLATE, path)
+    grid, material = fields.pop("grid"), fields.pop("material")
+    if fields["b"] is None:
+        fields["b"] = fields["a"]
     try:
         return PlateSpec(
-            a=a, b=b, h=h, bc=bc, q=q, nx=nx, ny=ny, grid_kind=kind, **material
+            nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields
         )
     except ValueError as exc:
         raise CaseError(f"{path}: {exc}") from exc
 
 
-def _parse_solver(node, path) -> SolverOptions:
-    if node is None:
-        return SolverOptions()
-    node = dict(_expect_mapping(node, path))
-    tol = _take(node, path, "tol")
-    max_iter = _take(node, path, "max_iter")
-    jac = _take(node, path, "jacobian")
-    _no_leftovers(node, path)
-    opts = SolverOptions()
-    if tol is not None:
-        opts = replace(opts, tol=_number(tol, f"{path}.tol", positive=True))
-    if max_iter is not None:
-        opts = replace(opts, max_iter=_integer(max_iter, f"{path}.max_iter"))
-    if jac is not None:
-        if jac not in _JACOBIAN_ALIASES:
-            raise CaseError(
-                f"{path}.jacobian: expected one of {sorted(_JACOBIAN_ALIASES)}"
-            )
-        opts = replace(opts, jacobian=_JACOBIAN_ALIASES[jac])
-    return opts
+_SOLVER = {
+    "tol": (_positive, newton_solver.DEFAULT_TOL),
+    "max_iter": (_count, newton_solver.DEFAULT_MAX_ITER),
+    "jacobian": (_choice(_JACOBIAN_ALIASES), SJT_ANALYTIC),
+}
+
+
+def _solver(node, path) -> SolverOptions:
+    return SolverOptions(**_read(node, _SOLVER, path))
+
+
+_SWEEP = {"loads": (_list_of(_positive), _REQUIRED)}
+_BENCH = {"grids": (_list_of(_grid_size), _REQUIRED), "repeats": (_count, 3)}
+_CONVERGENCE = {
+    "grids": (_list_of(_grid_size), _REQUIRED),
+    "kinds": (_list_of(_grid_kind), [CHEBYSHEV]),
+    "reference": ({"n": (_grid_size, _REQUIRED), "kind": (_grid_kind, CHEBYSHEV)}, None),
+    "loads": (_list_of(_positive), None),
+    "linear_comparison": (_boolean, False),
+    "delta": (_positive, 1e-5),
+}
+_CASE = {
+    "plate": (_plate, _REQUIRED),
+    "solver": (_solver, SolverOptions()),
+    "sweep": (_SWEEP, None),
+    "bench": (_BENCH, None),
+    "convergence": (_CONVERGENCE, None),
+}
+
+
+def _absent(schema: dict) -> dict:
+    """Values of an optional block that is not in the file: required keys None."""
+    return {k: None if d is _REQUIRED else d for k, (_, d) in schema.items()}
 
 
 def parse_case(path: str | Path) -> Case:
@@ -189,98 +238,22 @@ def parse_case(path: str | Path) -> Case:
         raise CaseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    doc = dict(_expect_mapping(doc, "case"))
-
-    spec = _parse_plate(_take(doc, "case", "plate", required=True), "plate")
-    solver = _parse_solver(_take(doc, "case", "solver"), "solver")
-
-    sweep_loads = None
-    sweep = _take(doc, "case", "sweep")
-    if sweep is not None:
-        sweep = dict(_expect_mapping(sweep, "sweep"))
-        loads = _take(sweep, "sweep", "loads", required=True)
-        if not isinstance(loads, list) or not loads:
-            raise CaseError("sweep.loads: expected a non-empty list")
-        sweep_loads = [
-            _number(x, f"sweep.loads[{i}]", positive=True) for i, x in enumerate(loads)
-        ]
-        _no_leftovers(sweep, "sweep")
-
-    bench_grids, bench_repeats = None, 3
-    bench = _take(doc, "case", "bench")
-    if bench is not None:
-        bench = dict(_expect_mapping(bench, "bench"))
-        grids = _take(bench, "bench", "grids", required=True)
-        if not isinstance(grids, list) or not grids:
-            raise CaseError("bench.grids: expected a non-empty list")
-        bench_grids = [_integer(g, f"bench.grids[{i}]") for i, g in enumerate(grids)]
-        rep = _take(bench, "bench", "repeats")
-        if rep is not None:
-            bench_repeats = _integer(rep, "bench.repeats")
-            if bench_repeats < 1:
-                raise CaseError("bench.repeats: must be at least 1")
-        _no_leftovers(bench, "bench")
-
-    conv_grids, conv_kinds, conv_reference = None, [], None
-    conv_loads, conv_linear, conv_delta = None, False, 1e-5
-    conv = _take(doc, "case", "convergence")
-    if conv is not None:
-        conv = dict(_expect_mapping(conv, "convergence"))
-        grids = _take(conv, "convergence", "grids", required=True)
-        if not isinstance(grids, list) or not grids:
-            raise CaseError("convergence.grids: expected a non-empty list")
-        conv_grids = [
-            _integer(g, f"convergence.grids[{i}]") for i, g in enumerate(grids)
-        ]
-        kinds_raw = _take(conv, "convergence", "kinds", default=["chebyshev"])
-        if not isinstance(kinds_raw, list) or not kinds_raw:
-            raise CaseError("convergence.kinds: expected a non-empty list")
-        conv_kinds = [
-            _grid_kind(k, f"convergence.kinds[{i}]") for i, k in enumerate(kinds_raw)
-        ]
-        ref = _take(conv, "convergence", "reference")
-        if ref is not None:
-            ref = dict(_expect_mapping(ref, "convergence.reference"))
-            ref_n = _integer(
-                _take(ref, "convergence.reference", "n", required=True),
-                "convergence.reference.n",
-            )
-            ref_kind = _grid_kind(
-                _take(ref, "convergence.reference", "kind", default="chebyshev"),
-                "convergence.reference.kind",
-            )
-            _no_leftovers(ref, "convergence.reference")
-            conv_reference = (ref_n, ref_kind)
-        loads = _take(conv, "convergence", "loads")
-        if loads is not None:
-            if not isinstance(loads, list) or not loads:
-                raise CaseError("convergence.loads: expected a non-empty list")
-            conv_loads = [
-                _number(x, f"convergence.loads[{i}]", positive=True)
-                for i, x in enumerate(loads)
-            ]
-        linear = _take(conv, "convergence", "linear_comparison", default=False)
-        if not isinstance(linear, bool):
-            raise CaseError("convergence.linear_comparison: expected a boolean")
-        conv_linear = linear
-        delta = _take(conv, "convergence", "delta")
-        if delta is not None:
-            conv_delta = _number(delta, "convergence.delta", positive=True)
-        _no_leftovers(conv, "convergence")
-
-    _no_leftovers(doc, "case")
+    doc = _read(doc, _CASE, "")
+    bench = doc["bench"] or _absent(_BENCH)
+    conv = doc["convergence"] or _absent(_CONVERGENCE)
+    ref = conv["reference"]
     return Case(
-        spec=spec,
-        solver=solver,
-        sweep_loads=sweep_loads,
-        bench_grids=bench_grids,
-        bench_repeats=bench_repeats,
-        conv_grids=conv_grids,
-        conv_kinds=conv_kinds,
-        conv_reference=conv_reference,
-        conv_loads=conv_loads,
-        conv_linear=conv_linear,
-        conv_delta=conv_delta,
+        spec=doc["plate"],
+        solver=doc["solver"],
+        sweep_loads=(doc["sweep"] or _absent(_SWEEP))["loads"],
+        bench_grids=bench["grids"],
+        bench_repeats=bench["repeats"],
+        conv_grids=conv["grids"],
+        conv_kinds=conv["kinds"],
+        conv_reference=None if ref is None else (ref["n"], ref["kind"]),
+        conv_loads=conv["loads"],
+        conv_linear=conv["linear_comparison"],
+        conv_delta=conv["delta"],
     )
 
 
@@ -312,14 +285,6 @@ def _dump_report(report: newton_solver.NewtonReport) -> None:
     print(f"  failure: {report.failure}", file=sys.stderr)
     hist = ", ".join(f"{r:.6g}" for r in report.residual_history)
     print(f"  residual history: [{hist}]", file=sys.stderr)
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +365,7 @@ def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
         )
     )
 
-    out = []
+    rows = []
     for strategy, jac_ms in ((SJT_ANALYTIC, jac_sjt), (FINITE_DIFFERENCE, jac_fd)):
         t0 = perf_counter()
         sol = newton_solver.solve_plate(
@@ -408,18 +373,10 @@ def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
             strategy=strategy, system=sys_n,
         )
         solve_ms = (perf_counter() - t0) * 1e3
-        out.append(
-            {
-                "n": sys_n.n,
-                "strategy": strategy,
-                "jac_ms": jac_ms,
-                "solve_ms": solve_ms,
-                "iterations": sol.report.iterations,
-                "w": sol.field.w_stack,
-                "converged": sol.report.converged,
-            }
-        )
-    return out
+        if not sol.report.converged:
+            return None
+        rows.append([sys_n.n, strategy, jac_ms, solve_ms, sol.report.iterations])
+    return rows
 
 
 def run_bench(case: Case, out_dir: Path) -> int:
@@ -429,14 +386,11 @@ def run_bench(case: Case, out_dir: Path) -> int:
     rows = []
     for npts in case.bench_grids:
         spec = replace(case.spec, nx=npts, ny=npts)
-        for rec in _bench_one(spec, case.solver, case.bench_repeats):
-            if not rec["converged"]:
-                print(f"bench solve failed at grid {npts}", file=sys.stderr)
-                return EXIT_NO_CONVERGENCE
-            rows.append(
-                [rec["n"], rec["strategy"], rec["jac_ms"], rec["solve_ms"],
-                 rec["iterations"]]
-            )
+        grid_rows = _bench_one(spec, case.solver, case.bench_repeats)
+        if grid_rows is None:
+            print(f"bench solve failed at grid {npts}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        rows.extend(grid_rows)
     _write_csv(
         out_dir / "bench.csv",
         ["n", "strategy", "jac_ms", "solve_ms", "iterations"],
@@ -447,11 +401,7 @@ def run_bench(case: Case, out_dir: Path) -> int:
 
 def _converge_point(spec: PlateSpec, solver: SolverOptions, loads):
     """Center w/h at each load for one grid, warm-started in load order."""
-    points = newton_solver.load_sweep(
-        spec, loads, tol=solver.tol, max_iter=solver.max_iter,
-        strategy=solver.jacobian,
-    ) if len(loads) > 1 else None
-    if points is None:
+    if len(loads) == 1:
         sol = newton_solver.solve_plate(
             replace(spec, q=loads[0]), tol=solver.tol,
             max_iter=solver.max_iter, strategy=solver.jacobian,
@@ -459,6 +409,10 @@ def _converge_point(spec: PlateSpec, solver: SolverOptions, loads):
         if not sol.report.converged:
             return None
         return [(loads[0], sol.field.center_deflection_ratio)]
+    points = newton_solver.load_sweep(
+        spec, loads, tol=solver.tol, max_iter=solver.max_iter,
+        strategy=solver.jacobian,
+    )
     if not all(p.converged for p in points):
         return None
     return [(p.q, p.center_w_over_h) for p in points]
@@ -476,23 +430,13 @@ def run_convergence(case: Case, out_dir: Path) -> int:
         raise CaseError("case has no 'convergence' block")
     loads = case.conv_loads or [case.spec.q]
 
-    tasks = [
-        (kind, npts)
-        for kind in case.conv_kinds
-        for npts in case.conv_grids
+    tasks = [(kind, npts) for kind in case.conv_kinds for npts in case.conv_grids]
+    results = [
+        _converge_point(
+            replace(case.spec, nx=npts, ny=npts, grid_kind=kind), case.solver, loads
+        )
+        for kind, npts in tasks
     ]
-
-    def solve_task(task):
-        kind, npts = task
-        spec = replace(case.spec, nx=npts, ny=npts, grid_kind=kind)
-        return _converge_point(spec, case.solver, loads)
-
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_task, tasks))
-    else:
-        results = [solve_task(t) for t in tasks]
 
     reference = None
     if case.conv_reference is not None:

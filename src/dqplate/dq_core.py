@@ -12,12 +12,9 @@ by the assembly layer, never here.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 UNIFORM = "uniform"
 CHEBYSHEV = "chebyshev_mapped"
@@ -49,15 +46,10 @@ def chebyshev_roots(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Ordered collocation nodes on [0, 1].
-
-    ``cheb_roots`` keeps the unmapped Chebyshev roots (aligned index-wise
-    with ``nodes``) so the closed-form weight formula can be applied later.
-    """
+    """Ordered collocation nodes on [0, 1]."""
 
     nodes: np.ndarray
     kind: str
-    cheb_roots: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -95,12 +87,11 @@ def make_grid(n: int, kind: str = CHEBYSHEV) -> Grid1D:
         return Grid1D(nodes, UNIFORM)
     if kind == CHEBYSHEV:
         r = chebyshev_roots(n)
-        # r is decreasing, so the mapped nodes come out increasing and the
-        # index pairing between nodes and roots is preserved.
+        # r is decreasing, so the mapped nodes come out increasing.
         nodes = (r - r[0]) / (r[-1] - r[0])
         nodes[0] = 0.0
         nodes[-1] = 1.0
-        return Grid1D(nodes, CHEBYSHEV, cheb_roots=r)
+        return Grid1D(nodes, CHEBYSHEV)
     raise ValueError(f"unknown grid kind {kind!r}; expected one of {GRID_KINDS}")
 
 
@@ -112,12 +103,10 @@ def diff_matrix_first(grid: Grid1D) -> np.ndarray:
     row annihilate constants regardless of rounding.
     """
     x = grid.nodes
-    n = x.size
     dx = x[:, None] - x[None, :]
-    if np.any(np.abs(dx[~np.eye(n, dtype=bool)]) <= MIN_NODE_GAP):
-        raise DegenerateGridError("coincident nodes")
     np.fill_diagonal(dx, 1.0)
-    # log-free product; N <= 31 keeps these well inside double range
+    # Grid1D keeps nodes apart, so no factor vanishes; N <= 31 keeps the
+    # log-free products well inside double range
     c = np.prod(dx, axis=1)
     a = c[:, None] / (c[None, :] * dx)
     np.fill_diagonal(a, 0.0)
@@ -140,16 +129,16 @@ class DiffMatrices:
         return self.grid.n
 
 
-def diff_matrices_higher(first: np.ndarray, grid: Grid1D) -> DiffMatrices:
-    """Orders 2..4 from the first-order matrix by the weight recursion.
+def diff_matrices(grid: Grid1D) -> DiffMatrices:
+    """Order 1 from the Lagrange form, orders 2..4 by the weight recursion.
 
     w_ij^(m) = m (w_ij^(1) w_ii^(m-1) - w_ij^(m-1) / (x_i - x_j)) for i != j,
     with m the order being produced and the diagonal again by negative row
     sum.  Equivalent to matrix powers of the first-order matrix but
     numerically cleaner.
     """
+    first = diff_matrix_first(grid)
     x = grid.nodes
-    n = x.size
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
 
@@ -163,46 +152,3 @@ def diff_matrices_higher(first: np.ndarray, grid: Grid1D) -> DiffMatrices:
         w = nxt
     return DiffMatrices(mats[0], mats[1], mats[2], mats[3], grid)
 
-
-def diff_matrices(grid: Grid1D) -> DiffMatrices:
-    """Convenience: first-order weights plus the recursion in one call."""
-    return diff_matrices_higher(diff_matrix_first(grid), grid)
-
-
-def chebyshev_fast_weights(grid: Grid1D, check_tol: float = 1e-10) -> np.ndarray:
-    """First-derivative weights from the Chebyshev-root closed form.
-
-    On mapped Chebyshev-root grids the Lagrange products collapse to
-
-        a_ij = (-1)^(i-j) (r_n - r_1) / (r_i - r_j) * sqrt((1-r_j^2)/(1-r_i^2))
-
-    for i != j, diagonal by negative row sum.  The generic Lagrange path is
-    authoritative: if the fast form drifts past ``check_tol`` (relative to
-    the matrix max-norm) a diagnostic is logged and the generic values are
-    returned instead.
-    """
-    if grid.kind != CHEBYSHEV or grid.cheb_roots is None:
-        raise ValueError("fast weights require a chebyshev_mapped grid")
-    r = grid.cheb_roots
-    n = r.size
-    dr = r[:, None] - r[None, :]
-    np.fill_diagonal(dr, 1.0)
-    i = np.arange(n)
-    sign = np.where((i[:, None] - i[None, :]) % 2 == 0, 1.0, -1.0)
-    s = np.sqrt(1.0 - r**2)
-    a = sign * (r[-1] - r[0]) / dr * (s[None, :] / s[:, None])
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))
-
-    generic = diff_matrix_first(grid)
-    scale = np.abs(generic).max()
-    err = np.abs(a - generic).max()
-    if err > check_tol * scale:
-        log.warning(
-            "chebyshev fast weights off by %.3e (relative %.3e); "
-            "falling back to the Lagrange form",
-            err,
-            err / scale,
-        )
-        return generic
-    return a

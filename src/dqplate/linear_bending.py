@@ -50,26 +50,21 @@ def clamped_ritz_coefficient(aspect: float = 1.0, modes: int = 24) -> float:
     entries explicit.  Returns the coefficient on q a^4 / D.
     """
     g2 = aspect**2
-    mm = np.arange(1, modes + 1, dtype=float)
-    cm2 = (2.0 * np.pi * mm) ** 2
-    idx = [(i, j) for i in range(modes) for j in range(modes)]
-    ndof = len(idx)
-    k = np.empty((ndof, ndof))
-    for p, (i, j) in enumerate(idx):
-        for r, (s, t) in enumerate(idx):
-            d_ms = 1.0 if i == s else 0.0
-            d_nt = 1.0 if j == t else 0.0
-            xx = cm2[i] * cm2[s] * (0.5 * d_ms) * (1.0 + 0.5 * d_nt)
-            yy = g2**2 * cm2[j] * cm2[t] * (1.0 + 0.5 * d_ms) * (0.5 * d_nt)
-            cross = g2 * (cm2[i] * cm2[t] + cm2[s] * cm2[j]) * 0.25 * d_ms * d_nt
-            k[p, r] = xx + yy + cross
-    f = np.ones(ndof)  # integral of each basis function over the unit square
-    coeffs = np.linalg.solve(k, f)
-    center = sum(
-        c * (1.0 - (-1.0) ** (i + 1)) * (1.0 - (-1.0) ** (j + 1))
-        for c, (i, j) in zip(coeffs, idx)
+    c = (2.0 * np.pi * np.arange(1, modes + 1)) ** 2
+    # Mode (m, n) sits at row-major index (m - 1) * modes + (n - 1).  The
+    # x-bending energy couples modes of equal m, the y-bending energy modes
+    # of equal n, each through J = ones + I/2 on the other index; the mixed
+    # term is diagonal.
+    j = np.ones((modes, modes)) + 0.5 * np.eye(modes)
+    k = (
+        kron(np.diag(c**2 / 2.0), j)
+        + kron(j, np.diag(g2**2 * c**2 / 2.0))
+        + np.diag(g2 / 2.0 * np.outer(c, c).ravel())
     )
-    return float(center)
+    f = np.ones(modes * modes)  # integral of each basis function over the unit square
+    coeffs = np.linalg.solve(k, f)
+    center = 1.0 - (-1.0) ** np.arange(1, modes + 1)  # 1 - cos(m pi) at X = 1/2
+    return float(np.outer(center, center).ravel() @ coeffs)
 
 
 def series_coefficient(bc_kind: str, aspect: float = 1.0) -> float:
@@ -134,18 +129,13 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     slope_x = kron(deriv_x, np.eye(ny))
     slope_y = kron(np.eye(nx), deriv_y)
 
-    for i in range(nx):
-        for j in range(ny):
-            row = i * ny + j
-            if i in (0, nx - 1) or j in (0, ny - 1):
-                op[row] = 0.0
-                op[row, row] = 1.0
-                rhs[row] = 0.0
-            elif i in planx.delta_rows:
-                op[row] = slope_x[row]
-                rhs[row] = 0.0
-            elif j in plany.delta_rows:
-                op[row] = slope_y[row]
-                rhs[row] = 0.0
+    i, j = np.divmod(np.arange(nx * ny), ny)  # grid indices of each row
+    edge = np.isin(i, planx.boundary_rows) | np.isin(j, plany.boundary_rows)
+    on_x = ~edge & np.isin(i, planx.delta_rows)
+    on_y = ~edge & ~on_x & np.isin(j, plany.delta_rows)
+    op[edge] = np.eye(nx * ny)[edge]
+    op[on_x] = slope_x[on_x]
+    op[on_y] = slope_y[on_y]
+    rhs[edge | on_x | on_y] = 0.0
     w = np.linalg.solve(op, rhs).reshape(nx, ny)
     return plate_model._interp_center(w, planx.grid.nodes, plany.grid.nodes)

@@ -194,10 +194,7 @@ def solve_plate(
         strategy_label=strategy,
     )
     u, v = plate_model.recover_inplane(sys, w)
-    fld = plate_model.recover_fields(
-        sys, w, u, v, iterations=report.iterations,
-        residual_norm=report.final_residual,
-    )
+    fld = plate_model.recover_fields(sys, w, u, v)
     return PlateSolution(system=sys, field=fld, report=report)
 
 
@@ -238,23 +235,18 @@ def load_sweep(
             sys.spec, tol=tol, max_iter=max_iter, strategy=strategy,
             w0=warm, system=sys,
         )
-        if not sol.report.converged:
-            rows.append(
-                SweepPoint(
-                    q=q,
-                    center_w_over_h=float("nan"),
-                    iterations=sol.report.iterations,
-                    converged=False,
-                )
-            )
-            return rows
+        converged = sol.report.converged
         rows.append(
             SweepPoint(
                 q=q,
-                center_w_over_h=sol.field.center_deflection_ratio,
+                center_w_over_h=(
+                    sol.field.center_deflection_ratio if converged else float("nan")
+                ),
                 iterations=sol.report.iterations,
-                converged=True,
+                converged=converged,
             )
         )
+        if not converged:
+            return rows
         warm = sol.field.w_stack
     return rows

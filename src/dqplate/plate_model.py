@@ -30,7 +30,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import bc_builder, dq_core
 from .bc_builder import BC_KINDS, BoundaryOperatorSet
-from .dq_core import CHEBYSHEV, GRID_KINDS, Grid1D
+from .dq_core import CHEBYSHEV, GRID_KINDS
 from .tensor_ops import kron, row_scale, unvec
 
 
@@ -154,9 +154,8 @@ def derive_material(spec: PlateSpec) -> DerivedMaterial:
 class AssembledSystem:
     """Stacked interior operators for one plate case.
 
-    ``n`` is the per-field unknown count; ``scaling`` records the factors
-    that map dimensionless unknowns back to physical fields.  The block LU
-    of [[H1, H2], [H2, H3]] is factored once and reused for every in-plane
+    ``n`` is the per-field unknown count.  The block LU of
+    [[H1, H2], [H2, H3]] is factored once and reused for every in-plane
     recovery and Jacobian sensitivity solve.
     """
 
@@ -174,22 +173,11 @@ class AssembledSystem:
     h8: np.ndarray
     load: np.ndarray
     n: int
-    nx_interior: int
-    ny_interior: int
     alpha: float
     beta_x: float
     beta_y: float
     gamma: float
-    scaling: dict[str, float]
     inplane_lu: Any = field(repr=False)
-
-    @property
-    def grid_x(self) -> Grid1D:
-        return self.bcx.grid
-
-    @property
-    def grid_y(self) -> Grid1D:
-        return self.bcy.grid
 
 
 def assemble(
@@ -260,13 +248,10 @@ def assemble(
         h8=h8,
         load=load,
         n=n,
-        nx_interior=nxi,
-        ny_interior=nyi,
         alpha=a**4 / (mat.mu * mat.d1 * h),
         beta_x=(a / h) ** 2,
         beta_y=(b / h) ** 2,
         gamma=2.0 * mat.mu * spec.g12 / mat.c,
-        scaling={"x": a, "y": b, "w": h, "u": a, "v": b},
         inplane_lu=lu,
     )
 
@@ -442,8 +427,6 @@ class SolutionField:
     x: np.ndarray
     y: np.ndarray
     center_deflection_ratio: float
-    newton_iterations: int | None = None
-    final_residual_norm: float | None = None
 
 
 def _interp_center(values: np.ndarray, xn: np.ndarray, yn: np.ndarray) -> float:
@@ -472,27 +455,24 @@ def recover_fields(
     w: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    iterations: int | None = None,
-    residual_norm: float | None = None,
 ) -> SolutionField:
     """Map stacked interior unknowns to physical full-grid fields."""
     w = _check_size(sys, w)
     rx, ry = sys.bcx.recovery, sys.bcy.recovery
-    nxi, nyi = sys.nx_interior, sys.ny_interior
+    nxi, nyi = sys.bcx.n_interior, sys.bcy.n_interior
     w_full = rx @ unvec(w, nxi, nyi) @ ry.T
     u_full = rx @ unvec(u, nxi, nyi) @ ry.T
     v_full = rx @ unvec(v, nxi, nyi) @ ry.T
-    xn, yn = sys.grid_x.nodes, sys.grid_y.nodes
+    xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
+    spec = sys.spec
     return SolutionField(
         w_stack=w,
         u_stack=u,
         v_stack=v,
-        w=sys.scaling["w"] * w_full,
-        u=sys.scaling["u"] * u_full,
-        v=sys.scaling["v"] * v_full,
-        x=sys.scaling["x"] * xn,
-        y=sys.scaling["y"] * yn,
+        w=spec.h * w_full,
+        u=spec.a * u_full,
+        v=spec.b * v_full,
+        x=spec.a * xn,
+        y=spec.b * yn,
         center_deflection_ratio=_interp_center(w_full, xn, yn),
-        newton_iterations=iterations,
-        final_residual_norm=residual_norm,
     )

@@ -1,74 +1,18 @@
-"""Elementwise matrix products, Jacobian rules, and Kronecker stacking.
+"""Row scaling and Kronecker stacking for the assembled operators.
 
 The nonlinear residuals downstream are built from elementwise (Hadamard)
-combinations of matrix-vector products.  Their exact Jacobians then come
-out as column- or row-scaled copies of the constant matrices, which is what
-the helpers here produce at n^2 cost instead of differencing n residuals.
+products of matrix-vector terms.  Their exact Jacobians then come out as
+row-scaled copies of the constant matrices, which ``row_scale`` produces at
+n^2 cost instead of differencing n residuals.
 
-Vectors of 2-D fields are stacked row-major throughout: ``vec`` concatenates
-the rows of a rectangular array, so a derivative acting on the row index
-enters as kron(M, I) and one acting on the column index as kron(I, M).
+Vectors of 2-D fields are stacked row-major throughout (``ravel``), so a
+derivative acting on the row index enters as kron(M, I) and one acting on
+the column index as kron(I, M).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
-
-
-class DomainError(ValueError):
-    """Elementwise function applied outside its domain."""
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equal-shape arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_same_shape(a, b)
-    return a * b
-
-
-def hadamard_power(a: np.ndarray, q: float) -> np.ndarray:
-    """Elementwise power a_ij**q.
-
-    q = 0 gives the all-ones array, q = -1 the elementwise reciprocal.
-    Negative q requires nonzero entries; non-integer q requires positive
-    entries.
-    """
-    a = np.asarray(a, dtype=float)
-    if q < 0 and np.any(a == 0.0):
-        raise DomainError("zero entry with negative elementwise power")
-    if q != int(q) and np.any(a <= 0.0):
-        raise DomainError("non-positive entry with non-integer elementwise power")
-    if q == 0:
-        return np.ones_like(a)
-    return a**q
-
-
-def hadamard_map(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
-    """Apply a scalar function elementwise; rejects non-finite results."""
-    a = np.asarray(a, dtype=float)
-    with np.errstate(all="ignore"):
-        out = np.asarray(f(a), dtype=float)
-    _check_same_shape(out, a)
-    if np.any(~np.isfinite(out[np.isfinite(a)])):
-        raise DomainError("elementwise map produced non-finite values")
-    return out
-
-
-def sjt_post(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Column-scaled matrix [a_ij * v_j], i.e. a @ diag(v), at n^2 cost."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or a.ndim != 2 or a.shape[1] != v.size:
-        raise ValueError(f"incompatible shapes {a.shape} and {v.shape}")
-    return a * v[None, :]
 
 
 def row_scale(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -85,60 +29,13 @@ def row_scale(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return v[:, None] * m
 
 
-# ---------------------------------------------------------------------------
-# Jacobian rules for expressions in a stacked unknown u.
-# Each returns the exact derivative matrix of the stated expression.
-# ---------------------------------------------------------------------------
-
-
-def scale_rule(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Jacobian of c o (M u): row i of M scaled by c_i."""
-    return row_scale(c, m)
-
-
-def power_rule(m: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
-    """Jacobian of (M u)^oq: q * diag((M u)^(q-1)) @ M."""
-    mu = np.asarray(m, dtype=float) @ np.asarray(u, dtype=float)
-    return q * row_scale(hadamard_power(mu, q - 1.0), m)
-
-
-def product_rule(m1: np.ndarray, m2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Jacobian of (M1 u) o (M2 u): diag(M2 u) @ M1 + diag(M1 u) @ M2."""
-    u = np.asarray(u, dtype=float)
-    return row_scale(m2 @ u, m1) + row_scale(m1 @ u, m2)
-
-
-def map_rule(
-    f: Callable[[np.ndarray], np.ndarray],
-    fprime: Callable[[np.ndarray], np.ndarray],
-    m: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Jacobian of f o (M u): diag(f'(M u)) @ M."""
-    mu = np.asarray(m, dtype=float) @ np.asarray(u, dtype=float)
-    return row_scale(hadamard_map(fprime, mu), m)
-
-
-# ---------------------------------------------------------------------------
-# Kronecker products and row-major stacking.
-# ---------------------------------------------------------------------------
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; with row stacking, vec(A X B) = kron(A, B.T) vec(X)."""
+    """Kronecker product; row-major, (A X B).ravel() = kron(A, B.T) @ X.ravel()."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    """Flatten a rectangular array by concatenating its rows."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("vec expects a 2-D array")
-    return x.reshape(-1)
-
-
 def unvec(v: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Inverse of ``vec`` for a field with nx rows and ny columns."""
+    """Row-stacked vector back to a field with nx rows and ny columns."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != nx * ny:
         raise ValueError(f"cannot reshape length-{v.size} vector to {nx}x{ny}")

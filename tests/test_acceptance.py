@@ -231,28 +231,31 @@ def test_criterion_10_math_core_property_suites():
                         err = np.abs(m @ f - exact).max()
                         assert err <= 1e-12 * max((absm @ np.abs(f)).max(), 1.0)
 
-        # elementwise product algebra and stacking identities
+        # row scaling, the product-rule Jacobian and stacking identities
         rng = np.random.default_rng(11)
         from dqplate import tensor_ops as top
 
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
-        c = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(top.hadamard(a, b), top.hadamard(b, a))
-        np.testing.assert_allclose(
-            top.hadamard(a + b, c), top.hadamard(a, c) + top.hadamard(b, c), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            3.5 * top.hadamard(a, b), top.hadamard(3.5 * a, b), rtol=1e-12
-        )
         v = rng.standard_normal(4)
-        np.testing.assert_allclose(top.sjt_post(a, v), a @ np.diag(v), rtol=1e-14)
+        np.testing.assert_allclose(top.row_scale(v, a), np.diag(v) @ a, rtol=1e-14)
+        u = rng.standard_normal(4)
+        jac = top.row_scale(b @ u, a) + top.row_scale(a @ u, b)
+        step = 1e-6
+        fd = np.column_stack([
+            ((a @ (u + step * e)) * (b @ (u + step * e))
+             - (a @ (u - step * e)) * (b @ (u - step * e))) / (2 * step)
+            for e in np.eye(4)
+        ])
+        assert np.abs(jac - fd).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(
-            top.vec(a[:3, :3] @ x @ b[:3, :3]),
-            top.kron(a[:3, :3], b[:3, :3].T) @ top.vec(x),
+            (a[:3, :3] @ x @ b[:3, :3]).ravel(),
+            top.kron(a[:3, :3], b[:3, :3].T) @ x.ravel(),
             rtol=1e-12,
         )
+        y = rng.standard_normal((3, 5))
+        np.testing.assert_array_equal(top.unvec(y.ravel(), 3, 5), y)
 
         # boundary reductions: condition satisfaction and pinned values
         ops5 = bc_builder.build_clamped(

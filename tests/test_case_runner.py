@@ -86,6 +86,55 @@ def test_missing_required_key(tmp_path):
         parse_case(write_case(tmp_path, doc))
 
 
+def with_block(**blocks):
+    doc = json.loads(json.dumps(SS_CASE))
+    doc.update(blocks)
+    return doc
+
+
+def with_material(material):
+    doc = json.loads(json.dumps(SS_CASE))
+    doc["plate"]["material"] = material
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (with_block(sweep={"loads": []}), "sweep.loads"),
+        (with_block(bench={"grids": [7], "repeats": 0}), "bench.repeats"),
+        (
+            with_block(convergence={"grids": [7], "linear_comparison": "yes"}),
+            "convergence.linear_comparison",
+        ),
+        (
+            with_block(convergence={"grids": [7], "reference": {"kind": "uniform"}}),
+            "convergence.reference: missing required key 'n'",
+        ),
+        (with_block(solver={"jacobian": "bad"}), "solver.jacobian"),
+        (
+            with_material({"e": 2.1e6, "nu": 0.25, "e1": 2.1e6}),
+            "plate.material: unknown key 'e1'",
+        ),
+        (with_material({"e": 2.1e6, "nu": -1.0}), "plate.material.nu"),
+        (with_block(convergence={"grids": [3]}), "convergence.grids[0]"),
+        (
+            with_block(convergence={"grids": [7], "kinds": [["uniform"]]}),
+            "convergence.kinds[0]",
+        ),
+        (with_block(solver={"max_iter": 0}), "solver.max_iter"),
+        (with_block(sweep={"loads": [float("inf")]}), "sweep.loads[0]"),
+    ],
+    ids=["empty-loads", "zero-repeats", "non-boolean", "reference-without-n",
+         "bad-jacobian", "mixed-material", "poisson-minus-one", "grid-too-small",
+         "unhashable-kind", "zero-max-iter", "infinite-load"],
+)
+def test_invalid_field_names_its_path(tmp_path, doc, path):
+    with pytest.raises(CaseError) as err:
+        parse_case(write_case(tmp_path, doc))
+    assert str(err.value).startswith(path)
+
+
 def test_bad_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"plate": }')
@@ -248,19 +297,6 @@ def test_converge_self_convergence(tmp_path):
     _, rows = read_csv(out / "convergence.csv")
     centers = [float(r[3]) for r in rows]
     assert abs(centers[1] - centers[0]) > abs(centers[2] - centers[1])
-
-
-def test_converge_worker_pool_matches_sequential(tmp_path, monkeypatch):
-    doc = json.loads(json.dumps(SS_CASE))
-    doc["convergence"] = {"grids": [5, 7], "kinds": ["chebyshev", "uniform"]}
-    path = write_case(tmp_path, doc)
-    out_seq, out_par = tmp_path / "seq", tmp_path / "par"
-    assert main(["converge", str(path), "--out", str(out_seq)]) == EXIT_OK
-    monkeypatch.setenv("DQPLATE_WORKERS", "3")
-    assert main(["converge", str(path), "--out", str(out_par)]) == EXIT_OK
-    assert (out_seq / "convergence.csv").read_bytes() == (
-        out_par / "convergence.csv"
-    ).read_bytes()
 
 
 def test_converge_linear_comparison(tmp_path, table1_clamped):

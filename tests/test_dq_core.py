@@ -11,7 +11,6 @@ from dqplate.dq_core import (
     UNIFORM,
     DegenerateGridError,
     Grid1D,
-    chebyshev_fast_weights,
     chebyshev_roots,
     diff_matrices,
     diff_matrix_first,
@@ -173,40 +172,31 @@ def test_uniform_first_derivative_antisymmetric_under_reversal(n):
 
 
 # ---------------------------------------------------------------------------
-# fast Chebyshev weights
+# Chebyshev closed form as an independent oracle for the Lagrange weights
 # ---------------------------------------------------------------------------
+
+
+def chebyshev_closed_form(n):
+    """First-derivative weights on the n-point mapped Chebyshev-root grid.
+
+    With roots r_i the Lagrange products collapse to
+    a_ij = (-1)^(i-j) (r_n - r_1) / (r_i - r_j) * sqrt((1-r_j^2)/(1-r_i^2))
+    for i != j; the diagonal is the negative row sum.
+    """
+    r = chebyshev_roots(n)
+    dr = r[:, None] - r[None, :]
+    np.fill_diagonal(dr, 1.0)
+    i = np.arange(n)
+    sign = np.where((i[:, None] - i[None, :]) % 2 == 0, 1.0, -1.0)
+    s = np.sqrt(1.0 - r**2)
+    a = sign * (r[-1] - r[0]) / dr * (s[None, :] / s[:, None])
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a
 
 
 @pytest.mark.parametrize("n", range(3, 22))
 def test_fast_weights_match_lagrange_form(n):
-    g = make_grid(n, CHEBYSHEV)
-    fast = chebyshev_fast_weights(g)
-    generic = diff_matrix_first(g)
+    fast = chebyshev_closed_form(n)
+    generic = diff_matrix_first(make_grid(n, CHEBYSHEV))
     assert np.abs(fast - generic).max() <= 1e-10 * np.abs(generic).max()
-
-
-def test_fast_weights_annihilate_constants():
-    fast = chebyshev_fast_weights(make_grid(9, CHEBYSHEV))
-    assert np.abs(fast @ np.ones(9)).max() <= 1e-9 * np.abs(fast).max()
-
-
-def test_fast_weights_exact_on_quadratic():
-    g = make_grid(7, CHEBYSHEV)
-    fast = chebyshev_fast_weights(g)
-    x = g.nodes
-    np.testing.assert_allclose(fast @ x**2, 2 * x, atol=1e-11)
-
-
-def test_fast_weights_require_chebyshev_grid():
-    with pytest.raises(ValueError):
-        chebyshev_fast_weights(make_grid(7, UNIFORM))
-
-
-def test_fast_weights_fall_back_on_disagreement(caplog):
-    """Corrupted root metadata: the Lagrange values win and a warning logs."""
-    g = make_grid(7, CHEBYSHEV)
-    bad = Grid1D(g.nodes, CHEBYSHEV, cheb_roots=g.cheb_roots * 1.001)
-    with caplog.at_level("WARNING", logger="dqplate.dq_core"):
-        out = chebyshev_fast_weights(bad)
-    assert "falling back" in caplog.text
-    np.testing.assert_array_equal(out, diff_matrix_first(bad))

@@ -36,6 +36,15 @@ def test_clamped_ritz_coefficient():
     assert abs(k - k_fine) / k_fine < 1e-4
 
 
+@pytest.mark.parametrize(
+    "aspect, expected",
+    [(1.0, 0.0012652880493825263), (9.4 / 7.75, 0.0008088994921492226)],
+)
+def test_clamped_ritz_pinned_values(aspect, expected):
+    """Values of the entry-by-entry stiffness assembly, 24 modes per direction."""
+    assert clamped_ritz_coefficient(aspect) == pytest.approx(expected, rel=1e-13)
+
+
 def test_series_coefficient_dispatch():
     assert series_coefficient(SIMPLY_SUPPORTED) == pytest.approx(
         navier_ss_coefficient()

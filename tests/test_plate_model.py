@@ -123,7 +123,7 @@ def test_zero_pressure_zero_load(table1_ss):
 
 def test_square_isotropic_swap_symmetry(table1_ss):
     sys = build_system(table1_ss)
-    p = swap_permutation(sys.nx_interior)
+    p = swap_permutation(sys.bcx.n_interior)
     for h in (sys.h4, sys.h1 + sys.h3, sys.h2):
         np.testing.assert_allclose(p @ h @ p.T, h, rtol=1e-12, atol=1e-9)
 
@@ -275,7 +275,7 @@ def test_jacobian_matches_finite_differences(case, table1_ss, table1_clamped, rn
 def test_jacobian_swap_equivariance(table1_ss, rng):
     """Square isotropic plate: relabeling x<->y conjugates the Jacobian."""
     sys = build_system(table1_ss)
-    p = swap_permutation(sys.nx_interior)
+    p = swap_permutation(sys.bcx.n_interior)
     w = rng.standard_normal(sys.n)
     lhs = jacobian(sys, p @ w)
     rhs = p @ jacobian(sys, w) @ p.T
@@ -284,7 +284,7 @@ def test_jacobian_swap_equivariance(table1_ss, rng):
 
 def test_residual_swap_equivariance(table1_ss, rng):
     sys = build_system(table1_ss)
-    p = swap_permutation(sys.nx_interior)
+    p = swap_permutation(sys.bcx.n_interior)
     w = rng.standard_normal(sys.n)
     np.testing.assert_allclose(
         residual(sys, p @ w), p @ residual(sys, w), rtol=1e-10, atol=1e-8
@@ -331,8 +331,8 @@ def test_recovered_fields_satisfy_boundaries(table1_clamped):
     sys, fld = sol.system, sol.field
     assert np.all(fld.w[0, :] == 0.0) and np.all(fld.w[-1, :] == 0.0)
     assert np.all(fld.w[:, 0] == 0.0) and np.all(fld.w[:, -1] == 0.0)
-    ax = dq_core.diff_matrix_first(sys.grid_x)
-    ay = dq_core.diff_matrix_first(sys.grid_y)
+    ax = dq_core.diff_matrix_first(sys.bcx.grid)
+    ay = dq_core.diff_matrix_first(sys.bcy.grid)
     scale = np.abs(fld.w).max() * np.abs(ax).max()
     slopes_x = ax @ fld.w
     slopes_y = fld.w @ ay.T

@@ -1,4 +1,4 @@
-"""Elementwise product algebra, Jacobian rules, Kronecker stacking."""
+"""Row scaling, the Jacobian rules built from it, Kronecker stacking."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dqplate import tensor_ops as top
-from dqplate.tensor_ops import DomainError
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 def squares(n):
     return hnp.arrays(np.float64, (n, n), elements=finite)
+
+
+def vectors(n):
+    return hnp.arrays(np.float64, (n,), elements=finite)
 
 
 def matrices(rows, cols):
@@ -34,106 +37,48 @@ def central_fd(expr, u, step=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# elementwise products
+# row scaling: the Hadamard product (v 1^T) o M of a matrix with a column
+# vector repeated across it, which is how every elementwise product enters
+# the Jacobian
 # ---------------------------------------------------------------------------
 
 
 def test_hadamard_example():
-    out = top.hadamard([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-    np.testing.assert_array_equal(out, [[5, 12], [21, 32]])
+    out = top.row_scale(np.array([10.0, 100.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    np.testing.assert_array_equal(out, [[10.0, 20.0], [300.0, 400.0]])
 
 
 def test_hadamard_shape_mismatch():
     with pytest.raises(ValueError):
-        top.hadamard(np.ones((2, 2)), np.ones((2, 3)))
+        top.row_scale(np.ones(4), np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        top.row_scale(np.ones((3, 1)), np.ones((3, 3)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=squares(4), b=squares(4), c=squares(4), k=finite)
-def test_hadamard_algebra(a, b, c, k):
-    np.testing.assert_array_equal(top.hadamard(a, b), top.hadamard(b, a))
+@given(a=squares(4), b=squares(4), u=vectors(4), v=vectors(4), k=finite)
+def test_hadamard_algebra(a, b, u, v, k):
+    tol = {"rtol": 1e-12, "atol": 1e-12}
     np.testing.assert_allclose(
-        k * top.hadamard(a, b), top.hadamard(k * a, b), rtol=1e-12, atol=1e-12
+        top.row_scale(u, top.row_scale(v, a)), top.row_scale(u * v, a), **tol
     )
     np.testing.assert_allclose(
-        top.hadamard(a + b, c),
-        top.hadamard(a, c) + top.hadamard(b, c),
-        rtol=1e-12,
-        atol=1e-12,
+        top.row_scale(u, top.row_scale(v, a)),
+        top.row_scale(v, top.row_scale(u, a)),
+        **tol,
     )
+    np.testing.assert_allclose(
+        top.row_scale(u + v, a), top.row_scale(u, a) + top.row_scale(v, a), **tol
+    )
+    np.testing.assert_allclose(
+        top.row_scale(v, a + b), top.row_scale(v, a) + top.row_scale(v, b), **tol
+    )
+    np.testing.assert_allclose(k * top.row_scale(v, a), top.row_scale(k * v, a), **tol)
 
 
 def test_hadamard_with_ones_is_identity(rng):
     a = rng.standard_normal((3, 5))
-    np.testing.assert_array_equal(top.hadamard(a, np.ones((3, 5))), a)
-
-
-def test_hadamard_power_examples():
-    np.testing.assert_array_equal(
-        top.hadamard_power([[1, 2], [3, 4]], 2), [[1, 4], [9, 16]]
-    )
-    np.testing.assert_array_equal(top.hadamard_power([[3, -2], [0.5, 7]], 0), np.ones((2, 2)))
-
-
-def test_hadamard_power_inverse_recovers_ones(rng):
-    a = rng.uniform(0.5, 2.0, (4, 4))
-    np.testing.assert_allclose(
-        top.hadamard(a, top.hadamard_power(a, -1)), np.ones((4, 4)), rtol=1e-14
-    )
-
-
-def test_hadamard_power_domain_errors():
-    with pytest.raises(DomainError):
-        top.hadamard_power(np.array([[1.0, 0.0]]), -1)
-    with pytest.raises(DomainError):
-        top.hadamard_power(np.array([[-1.0, 2.0]]), 0.5)
-
-
-def test_hadamard_map_examples():
-    np.testing.assert_allclose(
-        top.hadamard_map(np.sin, np.array([[0.0, np.pi / 2]])), [[0.0, 1.0]], atol=1e-15
-    )
-    np.testing.assert_array_equal(top.hadamard_map(np.exp, np.zeros((2, 3))), np.ones((2, 3)))
-
-
-def test_hadamard_map_matches_power(rng):
-    a = rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(
-        top.hadamard_map(lambda x: x**2, a), top.hadamard_power(a, 2)
-    )
-
-
-def test_hadamard_map_domain_error():
-    with pytest.raises(DomainError):
-        top.hadamard_map(np.log, np.array([[1.0, -1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# column/row scalings
-# ---------------------------------------------------------------------------
-
-
-def test_sjt_post_example():
-    out = top.sjt_post(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([10.0, 100.0]))
-    np.testing.assert_array_equal(out, [[10.0, 200.0], [30.0, 400.0]])
-
-
-def test_sjt_post_with_ones_is_identity(rng):
-    a = rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(top.sjt_post(a, np.ones(4)), a)
-
-
-@settings(max_examples=30, deadline=None)
-@given(a=squares(5), v=hnp.arrays(np.float64, (5,), elements=finite))
-def test_sjt_post_equals_diagonal_product(a, v):
-    np.testing.assert_allclose(
-        top.sjt_post(a, v), a @ np.diag(v), rtol=1e-14, atol=1e-300
-    )
-
-
-def test_sjt_post_shape_mismatch():
-    with pytest.raises(ValueError):
-        top.sjt_post(np.ones((3, 3)), np.ones(4))
+    np.testing.assert_array_equal(top.row_scale(np.ones(3), a), a)
 
 
 def test_row_scale_equals_diagonal_product(rng):
@@ -143,28 +88,36 @@ def test_row_scale_equals_diagonal_product(rng):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian rules against brute-force differencing
+# Jacobian rules in the row_scale form plate_model.jacobian uses, against
+# brute-force differencing
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [9, 25])
 def test_scale_rule_matches_fd(n, rng):
+    """d/du {c o (M u)} = row_scale(c, M), e.g. strain_x o (H5 W)."""
     m = rng.standard_normal((n, n))
     c = rng.standard_normal(n)
     u = rng.standard_normal(n)
-    jac = top.scale_rule(c, m)
+    jac = top.row_scale(c, m)
     ref = central_fd(lambda z: c * (m @ z), u)
     assert np.abs(jac - ref).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_power_rule_matches_fd(q, rng):
+    """d/du (M u)^q = row_scale(q (M u)^(q-1), M); q = 2 is 0.5 (H7 W)^2."""
     n = 9
     m = rng.standard_normal((n, n))
     u = rng.standard_normal(n)
-    jac = top.power_rule(m, u, q)
+    jac = top.row_scale(q * (m @ u) ** (q - 1.0), m)
     ref = central_fd(lambda z: (m @ z) ** q, u)
     assert np.abs(jac - ref).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
+
+
+def product_jacobian(m1, m2, u):
+    """Jacobian of (M1 u) o (M2 u) as two row_scale terms, as in dl1 and t3."""
+    return top.row_scale(m2 @ u, m1) + top.row_scale(m1 @ u, m2)
 
 
 def test_product_rule_matches_fd(rng):
@@ -172,21 +125,9 @@ def test_product_rule_matches_fd(rng):
     m1 = rng.standard_normal((n, n))
     m2 = rng.standard_normal((n, n))
     u = rng.standard_normal(n)
-    jac = top.product_rule(m1, m2, u)
+    jac = product_jacobian(m1, m2, u)
     ref = central_fd(lambda z: (m1 @ z) * (m2 @ z), u)
     assert np.abs(jac - ref).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
-
-
-def test_map_rule_matches_fd(rng):
-    n = 9
-    m = rng.standard_normal((n, n))
-    u = rng.standard_normal(n)
-    jac = top.map_rule(np.sin, np.cos, m, u)
-    ref = central_fd(lambda z: np.sin(m @ z), u)
-    assert np.abs(jac - ref).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
-    jac_exp = top.map_rule(np.exp, np.exp, m, 0.1 * u)
-    ref_exp = central_fd(lambda z: np.exp(m @ z), 0.1 * u)
-    assert np.abs(jac_exp - ref_exp).max() <= 1e-6 * max(np.abs(jac_exp).max(), 1.0)
 
 
 def test_product_rule_degenerates_to_power_rule(rng):
@@ -194,17 +135,19 @@ def test_product_rule_degenerates_to_power_rule(rng):
     m = rng.standard_normal((n, n))
     u = rng.standard_normal(n)
     np.testing.assert_allclose(
-        top.product_rule(m, m, u), top.power_rule(m, u, 2.0), rtol=1e-12
+        product_jacobian(m, m, u), top.row_scale(2.0 * (m @ u), m), rtol=1e-12
     )
 
 
 # ---------------------------------------------------------------------------
-# Kronecker stacking
+# Kronecker products and row-major stacking (vec = ravel)
 # ---------------------------------------------------------------------------
 
 
 def test_vec_stacks_rows():
-    np.testing.assert_array_equal(top.vec(np.array([[1.0, 2.0], [3.0, 4.0]])), [1, 2, 3, 4])
+    np.testing.assert_array_equal(
+        top.unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2), [[1.0, 2.0], [3.0, 4.0]]
+    )
 
 
 def test_kron_identity_block_structure():
@@ -218,13 +161,13 @@ def test_kron_identity_block_structure():
 @settings(max_examples=30, deadline=None)
 @given(x=matrices(3, 4))
 def test_vec_unvec_round_trip(x):
-    np.testing.assert_array_equal(top.unvec(top.vec(x), 3, 4), x)
+    np.testing.assert_array_equal(top.unvec(x.ravel(), 3, 4), x)
 
 
 def test_vec_of_triple_product(rng):
     a, x, b = (rng.standard_normal((3, 3)) for _ in range(3))
-    lhs = top.vec(a @ x @ b)
-    rhs = top.kron(a, b.T) @ top.vec(x)
+    lhs = (a @ x @ b).ravel()
+    rhs = top.kron(a, b.T) @ x.ravel()
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -233,14 +176,14 @@ def test_one_sided_product_identities(rng):
     b = rng.standard_normal((5, 5))
     x = rng.standard_normal((4, 5))
     np.testing.assert_allclose(
-        top.vec(a @ x), top.kron(a, np.eye(5)) @ top.vec(x), rtol=1e-12
+        (a @ x).ravel(), top.kron(a, np.eye(5)) @ x.ravel(), rtol=1e-12
     )
     np.testing.assert_allclose(
-        top.vec(x @ b), top.kron(np.eye(4), b.T) @ top.vec(x), rtol=1e-12
+        (x @ b).ravel(), top.kron(np.eye(4), b.T) @ x.ravel(), rtol=1e-12
     )
     np.testing.assert_allclose(
-        top.vec(a @ x + x @ b),
-        (top.kron(a, np.eye(5)) + top.kron(np.eye(4), b.T)) @ top.vec(x),
+        (a @ x + x @ b).ravel(),
+        (top.kron(a, np.eye(5)) + top.kron(np.eye(4), b.T)) @ x.ravel(),
         rtol=1e-12,
     )
 
