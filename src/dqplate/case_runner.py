@@ -153,11 +153,8 @@ _ORTHOTROPIC = {
 
 
 def _material(node, path) -> dict:
-    if not (isinstance(node, dict) and "e" in node):
-        return _read(node, _ORTHOTROPIC, path)
-    iso = _read(node, _ISOTROPIC, path)
-    e, nu = iso["e"], iso["nu"]
-    return {"e1": e, "e2": e, "nu12": nu, "g12": e / (2.0 * (1.0 + nu))}
+    iso = isinstance(node, dict) and "e" in node
+    return _read(node, _ISOTROPIC if iso else _ORTHOTROPIC, path)
 
 
 _PLATE = {
@@ -183,8 +180,9 @@ def _plate(node, path) -> PlateSpec:
     grid, material = fields.pop("grid"), fields.pop("material")
     if fields["b"] is None:
         fields["b"] = fields["a"]
+    make = PlateSpec.isotropic if "e" in material else PlateSpec
     try:
-        return PlateSpec(
+        return make(
             nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields
         )
     except ValueError as exc:
@@ -519,20 +517,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # --tol, --max-iter and --jacobian pass the solver block's own checks
+    given = {k: getattr(args, k) for k in _SOLVER if getattr(args, k) is not None}
     try:
         case = parse_case(args.case)
+        overrides = _read(given, {k: _SOLVER[k] for k in given}, "solver")
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-    solver = case.solver
-    if args.tol is not None:
-        solver = replace(solver, tol=args.tol)
-    if args.max_iter is not None:
-        solver = replace(solver, max_iter=args.max_iter)
-    if args.jacobian is not None:
-        solver = replace(solver, jacobian=_JACOBIAN_ALIASES[args.jacobian])
-    case = replace(case, solver=solver)
+    case = replace(case, solver=replace(case.solver, **overrides))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -86,8 +86,7 @@ def _require_isotropic(spec: PlateSpec) -> None:
 def linear_reference_center(spec: PlateSpec) -> float:
     """Series-based center w/h in the linear limit of an isotropic spec."""
     _require_isotropic(spec)
-    mat = plate_model.derive_material(spec)
-    scale = spec.q * spec.a**4 / (mat.d1 * spec.h)
+    scale = plate_model.load_scale(spec, plate_model.derive_material(spec))
     return series_coefficient(spec.bc, spec.a / spec.b) * scale
 
 
@@ -115,14 +114,8 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     dmx = dq_core.diff_matrices(planx.grid)
     dmy = dq_core.diff_matrices(plany.grid)
     nx, ny = spec.nx, spec.ny
-    rab = spec.a / spec.b
-
-    op = (
-        kron(dmx.fourth, np.eye(ny))
-        + (2.0 * mat.d3 / mat.d1) * rab**2 * kron(dmx.second, dmy.second)
-        + (mat.d2 / mat.d1) * rab**4 * kron(np.eye(nx), dmy.fourth)
-    )
-    rhs = np.full(nx * ny, spec.q * spec.a**4 / (mat.d1 * spec.h))
+    op = plate_model.bending_operator(spec, mat, dmx, dmy)
+    rhs = np.full(nx * ny, plate_model.load_scale(spec, mat))
 
     deriv_x = dmx.first if planx.derivative_order == 1 else dmx.second
     deriv_y = dmy.first if plany.derivative_order == 1 else dmy.second

@@ -26,6 +26,7 @@ STRATEGIES = (SJT_ANALYTIC, FINITE_DIFFERENCE)
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 25
 DEFAULT_FD_STEP = 1e-6
+MAX_HALVINGS = 6
 
 ResidualFn = Callable[[np.ndarray], np.ndarray]
 JacobianFn = Callable[[np.ndarray], np.ndarray]
@@ -56,7 +57,6 @@ def newton(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     strategy_label: str = SJT_ANALYTIC,
-    max_halvings: int = 6,
 ) -> tuple[np.ndarray, NewtonReport]:
     """Iterate w <- w - J(w)^-1 r(w) until max|r| <= tol.
 
@@ -104,7 +104,7 @@ def newton(
         # Full step first; halve only while the residual norm would grow.
         best_w, best_r, best_norm = None, None, np.inf
         scale = 1.0
-        for _k in range(max_halvings + 1):
+        for _k in range(MAX_HALVINGS + 1):
             cand = w - scale * step
             t0 = perf_counter()
             r_cand = residual_fn(cand)
@@ -162,13 +162,11 @@ class PlateSolution:
     report: NewtonReport
 
 
-def _make_jacobian_fn(
-    sys: AssembledSystem, strategy: str, fd_step: float
-) -> JacobianFn:
+def _make_jacobian_fn(sys: AssembledSystem, strategy: str) -> JacobianFn:
     if strategy == SJT_ANALYTIC:
         return lambda w: plate_model.jacobian(sys, w)
     if strategy == FINITE_DIFFERENCE:
-        return lambda w: fd_jacobian(lambda z: plate_model.residual(sys, z), w, fd_step)
+        return lambda w: fd_jacobian(lambda z: plate_model.residual(sys, z), w)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
@@ -177,7 +175,6 @@ def solve_plate(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     strategy: str = SJT_ANALYTIC,
-    fd_step: float = DEFAULT_FD_STEP,
     w0: np.ndarray | None = None,
     system: AssembledSystem | None = None,
 ) -> PlateSolution:
@@ -187,7 +184,7 @@ def solve_plate(
         w0 = plate_model.linear_solve(sys)
     w, report = newton(
         lambda z: plate_model.residual(sys, z),
-        _make_jacobian_fn(sys, strategy, fd_step),
+        _make_jacobian_fn(sys, strategy),
         w0,
         tol=tol,
         max_iter=max_iter,

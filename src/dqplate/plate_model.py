@@ -11,8 +11,12 @@ W = w/h, U = u/a, V = v/b, the collocated equations take the operator form
 
 with o the elementwise product.  The first two equations are linear in
 (U, V) for given W, so one LU factorization of the stacked block system
-eliminates them; Newton then iterates on W alone, with the exact Jacobian
-assembled from row-scaled copies of the constant operators.
+eliminates them; Newton then iterates on W alone.
+
+Each nonlinear term is written once: ``_inplane_forcing`` forms the
+in-plane right-hand side, ``_transverse`` the three transverse terms, and
+both give their exact derivative as row-scaled (SJT) operator copies.  The
+residual, the coupled residual and the Jacobian all call these two.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
 equilibrium equations, H2 the mixed-derivative coupling block, H4 the
@@ -46,6 +50,11 @@ class DecouplingError(RuntimeError):
     """The in-plane block system is numerically singular."""
 
 
+def _check_poisson(nu12: float) -> None:
+    if not 0 <= nu12 < 1:
+        raise ValueError("nu12 must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class PlateSpec:
     """Physical description of one plate case.
@@ -71,8 +80,7 @@ class PlateSpec:
         for name in ("a", "b", "h", "e1", "e2", "g12"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.nu12 < 1:
-            raise ValueError("nu12 must lie in [0, 1)")
+        _check_poisson(self.nu12)
         if self.bc not in BC_KINDS:
             raise ValueError(f"unknown bc {self.bc!r}; expected one of {BC_KINDS}")
         if self.grid_kind not in GRID_KINDS:
@@ -101,6 +109,7 @@ class PlateSpec:
         grid_kind: str = CHEBYSHEV,
     ) -> "PlateSpec":
         """Isotropic shortcut: equal moduli and the standard shear modulus."""
+        _check_poisson(nu)  # before G = E / (2 (1 + nu)), which fails at nu = -1
         return cls(
             a=a,
             b=a if b is None else b,
@@ -148,6 +157,25 @@ def derive_material(spec: PlateSpec) -> DerivedMaterial:
     d3 = nu21 * d1 + 2.0 * dk
     c = spec.nu12 * spec.e2 + mu * spec.g12
     return DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c)
+
+
+def load_scale(spec: PlateSpec, mat: DerivedMaterial) -> float:
+    """Uniform load of the transverse equation normalized by D1: q a^4 / (D1 h)."""
+    return spec.q * spec.a**4 / (mat.d1 * spec.h)
+
+
+def bending_operator(spec: PlateSpec, mat: DerivedMaterial, x, y) -> np.ndarray:
+    """Scaled bending operator from per-direction ``second``/``fourth`` matrices.
+
+    ``x`` and ``y`` are the reduced interior operators in assembly and the
+    full-grid weighting matrices in the auxiliary-point comparison.
+    """
+    rab = spec.a / spec.b
+    return (
+        kron(x.fourth, np.eye(len(y.fourth)))
+        + (2.0 * mat.d3 / mat.d1) * rab**2 * kron(x.second, y.second)
+        + (mat.d2 / mat.d1) * rab**4 * kron(np.eye(len(x.fourth)), y.fourth)
+    )
 
 
 @dataclass(frozen=True)
@@ -212,17 +240,13 @@ def assemble(
     h1 = spec.e1 * bx_iy + mat.mu * spec.g12 * rab**2 * ix_by
     h2 = mat.c * kron(bcx.first, bcy.first)
     h3 = spec.e2 * ix_by + mat.mu * spec.g12 * rab**-2 * bx_iy
-    h4 = (
-        kron(bcx.fourth, iy)
-        + (2.0 * mat.d3 / mat.d1) * rab**2 * kron(bcx.second, bcy.second)
-        + (mat.d2 / mat.d1) * rab**4 * kron(ix, bcy.fourth)
-    )
+    h4 = bending_operator(spec, mat, bcx, bcy)
     h5 = spec.e1 * (h / a) ** 2 * bx_iy + spec.nu12 * spec.e2 * (h / b) ** 2 * ix_by
     h6 = spec.e2 * (h / b) ** 2 * ix_by + mat.nu21 * spec.e1 * (h / a) ** 2 * bx_iy
     h7 = (h / a) ** 2 * kron(bcx.first, iy)
     h8 = (h / b) ** 2 * kron(ix, bcy.first)
 
-    load = (spec.q * a**4 / (mat.d1 * h)) * np.ones(n)
+    load = load_scale(spec, mat) * np.ones(n)
 
     block = np.block([[h1, h2], [h2, h3]])
     lu = lu_factor(block)
@@ -271,10 +295,8 @@ def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
     Only the load vector depends on q, so load sweeps reuse the operators
     and the in-plane factorization.
     """
-    scale = q * sys.spec.a**4 / (sys.material.d1 * sys.spec.h)
-    return replace(
-        sys, spec=replace(sys.spec, q=q), load=scale * np.ones(sys.n)
-    )
+    spec = replace(sys.spec, q=q)
+    return replace(sys, spec=spec, load=load_scale(spec, sys.material) * np.ones(sys.n))
 
 
 def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
@@ -284,14 +306,60 @@ def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _inplane_forcing(sys, w, derivative=False):
+    """In-plane right-hand side [l1; l2] at W and, if asked, its W-derivative.
+
+    Each block is a sum of products (A W) o (B W), whose derivative is the
+    SJT pair diag(B W) A + diag(A W) B.
+    """
+    h1, h2, h3, h7, h8 = sys.h1, sys.h2, sys.h3, sys.h7, sys.h8
+    h1w, h2w, h3w, h7w, h8w = h1 @ w, h2 @ w, h3 @ w, h7 @ w, h8 @ w
+    blocks = (
+        ((h7, h7w, h1, h1w), (h8, h8w, h2, h2w)),  # l1
+        ((h8, h8w, h3, h3w), (h7, h7w, h2, h2w)),  # l2
+    )
+    rhs = np.concatenate([aw * bw + cw * dw for (_, aw, _, bw), (_, cw, _, dw) in blocks])
+    if not derivative:
+        return rhs, None
+    drhs = np.vstack([
+        sum(row_scale(bw, a) + row_scale(aw, b) for a, aw, b, bw in blk)
+        for blk in blocks
+    ])
+    return rhs, drhs
+
+
+def _transverse(sys, w, u, v, du=None, dv=None):
+    """Transverse residual at (W, U, V) and, given dU/dW and dV/dW, its Jacobian.
+
+    The nonlinear part is a sum of terms c (S W) o e: a coefficient c, a
+    stress operator S and a membrane strain e.  A term's derivative is
+    diag(S W) de/dW + diag(e) S.
+    """
+    h7, h8 = sys.h7, sys.h8
+    h7w, h8w = h7 @ w, h8 @ w
+    # (coefficient, stress operator, membrane strain, the strain's W-derivative)
+    terms = (
+        (sys.beta_x, sys.h5, h7 @ u + 0.5 * h7w**2,
+         lambda: h7 @ du + row_scale(h7w, h7)),
+        (sys.beta_y, sys.h6, h8 @ v + 0.5 * h8w**2,
+         lambda: h8 @ dv + row_scale(h8w, h8)),
+        (sys.gamma, sys.h2, h8 @ u + h7 @ v + h7w * h8w,
+         lambda: h8 @ du + h7 @ dv + row_scale(h8w, h7) + row_scale(h7w, h8)),
+    )
+    t1, t2, t3 = (c * (s @ w) * e for c, s, e, _ in terms)
+    r = sys.h4 @ w - sys.alpha * (t1 + t2 + t3) - sys.load
+    if du is None:
+        return r, None
+    jac = sys.h4 - sys.alpha * sum(
+        c * (row_scale(s @ w, de()) + row_scale(e, s)) for c, s, e, de in terms
+    )
+    return r, jac
+
+
 def l_vectors(sys: AssembledSystem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic right-hand sides of the in-plane equations for given W."""
-    w = _check_size(sys, w)
-    h7w = sys.h7 @ w
-    h8w = sys.h8 @ w
-    l1 = h7w * (sys.h1 @ w) + h8w * (sys.h2 @ w)
-    l2 = h8w * (sys.h3 @ w) + h7w * (sys.h2 @ w)
-    return l1, l2
+    rhs, _ = _inplane_forcing(sys, _check_size(sys, w))
+    return rhs[: sys.n], rhs[sys.n :]
 
 
 def recover_inplane(
@@ -303,84 +371,30 @@ def recover_inplane(
     elimination inverses: equivalent whenever those exist and well defined
     whenever the block system itself is regular.
     """
-    l1, l2 = l_vectors(sys, w)
-    sol = lu_solve(sys.inplane_lu, -np.concatenate([l1, l2]))
+    rhs, _ = _inplane_forcing(sys, _check_size(sys, w))
+    sol = lu_solve(sys.inplane_lu, -rhs)
     return sol[: sys.n], sol[sys.n :]
-
-
-def _inplane_sensitivities(
-    sys: AssembledSystem, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of the recovered (U, V) with respect to W."""
-    h1w = sys.h1 @ w
-    h2w = sys.h2 @ w
-    h3w = sys.h3 @ w
-    h7w = sys.h7 @ w
-    h8w = sys.h8 @ w
-    dl1 = (
-        row_scale(h1w, sys.h7)
-        + row_scale(h7w, sys.h1)
-        + row_scale(h2w, sys.h8)
-        + row_scale(h8w, sys.h2)
-    )
-    dl2 = (
-        row_scale(h3w, sys.h8)
-        + row_scale(h8w, sys.h3)
-        + row_scale(h2w, sys.h7)
-        + row_scale(h7w, sys.h2)
-    )
-    sens = lu_solve(sys.inplane_lu, -np.vstack([dl1, dl2]))
-    return sens[: sys.n], sens[sys.n :]
-
-
-def _transverse_residual(sys, w, u, v):
-    h7w = sys.h7 @ w
-    h8w = sys.h8 @ w
-    t1 = sys.beta_x * (sys.h7 @ u + 0.5 * h7w**2) * (sys.h5 @ w)
-    t2 = sys.beta_y * (sys.h8 @ v + 0.5 * h8w**2) * (sys.h6 @ w)
-    t3 = sys.gamma * (sys.h2 @ w) * (sys.h8 @ u + sys.h7 @ v + h7w * h8w)
-    return sys.h4 @ w - sys.alpha * (t1 + t2 + t3) - sys.load
 
 
 def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     """Transverse equilibrium residual with the in-plane fields eliminated."""
     w = _check_size(sys, w)
     u, v = recover_inplane(sys, w)
-    return _transverse_residual(sys, w, u, v)
+    return _transverse(sys, w, u, v)[0]
 
 
 def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     """Exact derivative of ``residual`` with respect to W.
 
-    Every elementwise factor contributes a row-scaled copy of its constant
-    operator; the in-plane sensitivities reuse the block factorization with
-    matrix right-hand sides.
+    One solve with the in-plane factorization gives (U, V) and their
+    W-sensitivities together, from the 2n x (n + 1) right-hand side [l, dl/dW].
     """
     w = _check_size(sys, w)
-    u, v = recover_inplane(sys, w)
-    du, dv = _inplane_sensitivities(sys, w)
-
-    h2w = sys.h2 @ w
-    h5w = sys.h5 @ w
-    h6w = sys.h6 @ w
-    h7w = sys.h7 @ w
-    h8w = sys.h8 @ w
-
-    strain_x = sys.h7 @ u + 0.5 * h7w**2
-    strain_y = sys.h8 @ v + 0.5 * h8w**2
-    shear = sys.h8 @ u + sys.h7 @ v + h7w * h8w
-
-    t1 = row_scale(h5w, sys.h7 @ du + row_scale(h7w, sys.h7)) + row_scale(
-        strain_x, sys.h5
+    n = sys.n
+    sol = lu_solve(
+        sys.inplane_lu, -np.column_stack(_inplane_forcing(sys, w, derivative=True))
     )
-    t2 = row_scale(h6w, sys.h8 @ dv + row_scale(h8w, sys.h8)) + row_scale(
-        strain_y, sys.h6
-    )
-    t3 = row_scale(shear, sys.h2) + row_scale(
-        h2w,
-        sys.h8 @ du + sys.h7 @ dv + row_scale(h8w, sys.h7) + row_scale(h7w, sys.h8),
-    )
-    return sys.h4 - sys.alpha * (sys.beta_x * t1 + sys.beta_y * t2 + sys.gamma * t3)
+    return _transverse(sys, w, sol[:n, 0], sol[n:, 0], sol[:n, 1:], sol[n:, 1:])[1]
 
 
 def linear_solve(sys: AssembledSystem) -> np.ndarray:
@@ -405,8 +419,7 @@ def coupled_residual(
     l1, l2 = l_vectors(sys, w)
     r1 = sys.h1 @ u + sys.h2 @ v + l1
     r2 = sys.h2 @ u + sys.h3 @ v + l2
-    r3 = _transverse_residual(sys, w, u, v)
-    return r1, r2, r3
+    return r1, r2, _transverse(sys, w, u, v)[0]
 
 
 @dataclass(frozen=True)
@@ -460,9 +473,7 @@ def recover_fields(
     w = _check_size(sys, w)
     rx, ry = sys.bcx.recovery, sys.bcy.recovery
     nxi, nyi = sys.bcx.n_interior, sys.bcy.n_interior
-    w_full = rx @ unvec(w, nxi, nyi) @ ry.T
-    u_full = rx @ unvec(u, nxi, nyi) @ ry.T
-    v_full = rx @ unvec(v, nxi, nyi) @ ry.T
+    w_full, u_full, v_full = (rx @ unvec(f, nxi, nyi) @ ry.T for f in (w, u, v))
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
     spec = sys.spec
     return SolutionField(

@@ -1,5 +1,10 @@
-"""Every bundled case file runs through the CLI and writes the documented CSVs."""
+"""Every bundled case file runs through the CLI and writes the documented CSVs.
 
+The center deflections and iteration counts each case writes are pinned, so
+a change to the solver that moves any of them shows here.
+"""
+
+import csv
 import json
 from pathlib import Path
 
@@ -15,6 +20,60 @@ SWEEP = ["q", "center_w_over_h", "iterations", "converged"]
 BENCH = ["n", "strategy", "jac_ms", "solve_ms", "iterations"]
 CONVERGENCE = ["kind", "n", "q", "center_w_over_h"]
 LINEAR = ["scheme", "n", "center_w_over_h", "series_center_w_over_h", "abs_error"]
+
+# case -> CSV -> column -> every value in row order.  center_w_over_h is
+# compared to 1e-9 relative (the CSVs carry 12 significant digits),
+# iterations exactly.
+PINNED = {
+    "bench_clamped": {"bench.csv": {"iterations": [5, 5, 5, 5, 5, 5]}},
+    "fig2_grid_quality": {
+        "convergence.csv": {
+            "center_w_over_h": [
+                # chebyshev_mapped, n = 5, 7, 9; q = 0.4 .. 2
+                0.330479330217, 0.536529909366, 0.677991689446, 0.786451665764, 0.875231667516,
+                0.331105528564, 0.538301617902, 0.680954144738, 0.790501858034, 0.88023641461,
+                0.331185958184, 0.538590866538, 0.68144693897, 0.791172027333, 0.881058357559,
+                # uniform, n = 5, 7, 9
+                0.332985058221, 0.54301392698, 0.689471095312, 0.803291813245, 0.897509782442,
+                0.330136978439, 0.534947041504, 0.675200569244, 0.782568512415, 0.870348333944,
+                0.331286808715, 0.538870442008, 0.681822304062, 0.791555544351, 0.881381735865,
+            ]
+        }
+    },
+    "linear_bc_comparison": {
+        "convergence.csv": {"center_w_over_h": [1.04838773917, 1.10419424846, 1.1253144006]},
+        "linear_comparison.csv": {
+            "center_w_over_h": [
+                1.92686344809, 1.9267041471, 1.95315177084,
+                1.95298442472, 1.95242909605, 1.95227917963,
+            ]
+        },
+    },
+    "orthotropic_clamped_sweep": {
+        "sweep.csv": {
+            "center_w_over_h": [
+                0.167526501677, 0.319185615569, 0.50695275308,
+                0.654987476395, 0.775180258256, 0.875996723763,
+            ],
+            "iterations": [2, 3, 4, 4, 4, 3],
+        }
+    },
+    "orthotropic_ss_sweep": {
+        "sweep.csv": {
+            "center_w_over_h": [
+                0.312654681512, 0.558170908985, 0.780775966581,
+                1.03660860005, 1.33687819411, 1.69923154701,
+            ],
+            "iterations": [3, 4, 4, 4, 4, 4],
+        }
+    },
+    "table1_clamped": {
+        "summary.csv": {"center_w_over_h": [1.10419424846], "iterations": [5]}
+    },
+    "table1_simply_supported": {
+        "summary.csv": {"center_w_over_h": [0.940474187377], "iterations": [6]}
+    },
+}
 
 
 def expected_outputs(doc):
@@ -35,6 +94,7 @@ def expected_outputs(doc):
 
 def test_cases_are_bundled():
     assert len(CASES) >= 7
+    assert sorted(PINNED) == [p.stem for p in CASES]
 
 
 @pytest.mark.parametrize("path", CASES, ids=[p.stem for p in CASES])
@@ -45,3 +105,11 @@ def test_bundled_case_runs(path, tmp_path):
         lines = (tmp_path / name).read_text().strip().split("\n")
         assert lines[0].split(",") == header
         assert len(lines) > 1
+    for name, pins in PINNED[path.stem].items():
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if "center_w_over_h" in pins:
+            got = [float(r["center_w_over_h"]) for r in rows]
+            assert got == pytest.approx(pins["center_w_over_h"], rel=1e-9, abs=0)
+        if "iterations" in pins:
+            assert [int(r["iterations"]) for r in rows] == pins["iterations"]

@@ -152,6 +152,18 @@ def test_missing_file_is_parse_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "override, path",
+    [(["--max-iter", "0"], "solver.max_iter"), (["--tol", "-1"], "solver.tol"),
+     (["--tol", "nan"], "solver.tol")],
+    ids=["zero-max-iter", "negative-tol", "nan-tol"],
+)
+def test_invalid_override_names_its_path(tmp_path, capsys, override, path):
+    case = write_case(tmp_path, SS_CASE)
+    assert main(["solve", str(case), "--out", str(tmp_path), *override]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
 def test_solver_block_and_overrides(tmp_path):
     doc = json.loads(json.dumps(SS_CASE))
     doc["solver"] = {"tol": 1e-7, "max_iter": 12, "jacobian": "fd"}

@@ -99,6 +99,8 @@ def test_spec_validation():
         PlateSpec(**{**good, "bc": "free"})
     with pytest.raises(ValueError):
         PlateSpec(**{**good, "grid_kind": "legendre"})
+    with pytest.raises(ValueError, match="nu12"):
+        PlateSpec.isotropic(a=1.0, h=0.01, e=1e6, nu=-1.0, q=1.0, nx=7, ny=7, bc=CLAMPED)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +263,12 @@ def test_jacobian_at_zero_is_bending_operator(table1_ss):
     np.testing.assert_array_equal(jacobian(sys, np.zeros(sys.n)), sys.h4)
 
 
-@pytest.mark.parametrize("case", ["ss", "clamped"])
-def test_jacobian_matches_finite_differences(case, table1_ss, table1_clamped, rng):
-    spec = table1_ss if case == "ss" else table1_clamped
+@pytest.mark.parametrize("case", ["ss", "clamped", "orthotropic"])
+def test_jacobian_matches_finite_differences(
+    case, table1_ss, table1_clamped, orthotropic_spec, rng
+):
+    """The rectangular orthotropic plate tells beta_x from beta_y."""
+    spec = {"ss": table1_ss, "clamped": table1_clamped, "orthotropic": orthotropic_spec}[case]
     sys = build_system(spec)
     for _ in range(3):
         w = rng.standard_normal(sys.n)
