@@ -14,9 +14,9 @@ strategies are provided, one per support kind:
 Both return a recovery matrix mapping interior unknowns back to a full
 grid-line vector, which is how fields are reconstructed after a solve.
 
-A third, older treatment (auxiliary points a small distance inside the
-boundary carrying the derivative conditions) is provided as a row
-replacement plan for linear comparison runs only.
+For the older auxiliary-point treatment, which ``linear_bending`` keeps
+for comparison only, ``delta_grid`` moves the nodes next to each end to a
+small distance delta inside the boundary.
 """
 
 from __future__ import annotations
@@ -136,43 +136,17 @@ def build_operators(dm: DiffMatrices, bc_kind: str) -> BoundaryOperatorSet:
     raise ValueError(f"unknown bc kind {bc_kind!r}; expected one of {BC_KINDS}")
 
 
-@dataclass(frozen=True)
-class DeltaPlan:
-    """Row replacement plan for the auxiliary-point boundary treatment.
-
-    The grid is the input grid with its 2nd and (N-1)th nodes moved to
-    delta and 1 - delta.  Governing-equation rows at the four listed nodes
-    are replaced: value conditions at the boundary nodes, derivative
-    conditions (slope for clamped, curvature for simply supported) at the
-    auxiliary nodes.
-    """
-
-    grid: Grid1D
-    boundary_rows: tuple[int, int]
-    delta_rows: tuple[int, int]
-    derivative_order: int
-
-
-def build_delta_rows(grid: Grid1D, delta: float, bc_kind: str = CLAMPED) -> DeltaPlan:
-    """Move the near-boundary nodes to distance delta and plan row surgery.
+def delta_grid(grid: Grid1D, delta: float) -> Grid1D:
+    """The grid with its 2nd and (N-1)th nodes moved to delta and 1 - delta.
 
     The auxiliary distance is dimensionless; values around 1e-5 behave well
     for clamped lines.  Requires 0 < delta < the original second node.
     """
-    if bc_kind not in BC_KINDS:
-        raise ValueError(f"unknown bc kind {bc_kind!r}; expected one of {BC_KINDS}")
     nodes = grid.nodes.copy()
     if not 0.0 < delta < nodes[1]:
         raise ValueError(
             f"delta must satisfy 0 < delta < {nodes[1]:.6g}, got {delta:.6g}"
         )
-    n = nodes.size
     nodes[1] = delta
     nodes[-2] = 1.0 - delta
-    moved = Grid1D(nodes, "delta_modified")
-    return DeltaPlan(
-        grid=moved,
-        boundary_rows=(0, n - 1),
-        delta_rows=(1, n - 2),
-        derivative_order=1 if bc_kind == CLAMPED else 2,
-    )
+    return Grid1D(nodes, "delta_modified")

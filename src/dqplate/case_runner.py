@@ -428,6 +428,26 @@ def run_convergence(case: Case, out_dir: Path) -> int:
         raise CaseError("case has no 'convergence' block")
     loads = case.conv_loads or [case.spec.q]
 
+    lin_rows = []  # first, so that a case the comparison rejects writes nothing
+    if case.conv_linear:
+        try:
+            reference_center = linear_bending.linear_reference_center(case.spec)
+        except ValueError as exc:
+            raise CaseError(f"convergence.linear_comparison: {exc}") from exc
+        builtin_name = "dqcy" if case.spec.bc == CLAMPED else "dqwb"
+        for npts in case.conv_grids:
+            spec = replace(case.spec, nx=npts, ny=npts)
+            center_b = linear_bending.linear_center_builtin(spec)
+            try:
+                center_d = linear_bending.linear_center_delta(spec, case.conv_delta)
+            except ValueError as exc:
+                raise CaseError(f"convergence.delta: {exc} on grid {npts}") from exc
+            for scheme, center in ((builtin_name, center_b), ("delta", center_d)):
+                lin_rows.append(
+                    [scheme, npts, center, reference_center,
+                     abs(center - reference_center)]
+                )
+
     tasks = [(kind, npts) for kind in case.conv_kinds for npts in case.conv_grids]
     results = [
         _converge_point(
@@ -462,21 +482,6 @@ def run_convergence(case: Case, out_dir: Path) -> int:
     _write_csv(out_dir / "convergence.csv", header, rows)
 
     if case.conv_linear:
-        try:
-            reference_center = linear_bending.linear_reference_center(case.spec)
-        except ValueError as exc:
-            raise CaseError(f"convergence.linear_comparison: {exc}") from exc
-        lin_rows = []
-        builtin_name = "dqcy" if case.spec.bc == CLAMPED else "dqwb"
-        for npts in case.conv_grids:
-            spec = replace(case.spec, nx=npts, ny=npts)
-            center_b = linear_bending.linear_center_builtin(spec)
-            center_d = linear_bending.linear_center_delta(spec, case.conv_delta)
-            for scheme, center in ((builtin_name, center_b), ("delta", center_d)):
-                lin_rows.append(
-                    [scheme, npts, center, reference_center,
-                     abs(center - reference_center)]
-                )
         _write_csv(
             out_dir / "linear_comparison.csv",
             ["scheme", "n", "center_w_over_h", "series_center_w_over_h",

@@ -10,19 +10,21 @@ plates (center w = coefficient * q a^4 / D):
 
 Both serve as oracles for the linear limit of the collocation solver and
 as the error reference in boundary-treatment comparison runs.  The module
-also solves the linear bending problem with the auxiliary-point (delta)
-row-replacement treatment so it can be compared against the built-in
-boundary reductions.
+also holds the whole linear comparison: the linear-limit center with the
+built-in boundary reductions (H4 W = load on the reduced operators) and
+with the auxiliary-point (delta) row replacement on the full moved grid.
+Both end in one row-equilibrated solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy import kron
+from scipy.linalg import solve
 
 from . import bc_builder, dq_core, plate_model
 from .bc_builder import CLAMPED, SIMPLY_SUPPORTED
 from .plate_model import PlateSpec
-from .tensor_ops import kron
 
 
 def navier_ss_coefficient(aspect: float = 1.0, terms: int = 120) -> float:
@@ -90,45 +92,52 @@ def linear_reference_center(spec: PlateSpec) -> float:
     return series_coefficient(spec.bc, spec.a / spec.b) * scale
 
 
+def _solve_center(op, rhs, rx, ry, xn, yn) -> float:
+    """Center w/h of op W = rhs mapped to the full grid by rx W ry^T.  Rows are
+    scaled to unit max-norm first: the solution stays, the auxiliary-point
+    system's rcond rises from about 1e-19 to 1e-9.  See ``plate_model._matmul``."""
+    scale = np.abs(op).max(axis=1)
+    w = solve(op / scale[:, None], rhs.ravel() / scale)
+    full = rx @ w.reshape(rx.shape[1], ry.shape[1]) @ ry.T
+    return plate_model._interp_center(full, xn, yn)
+
+
+def _grids(spec: PlateSpec):
+    return (dq_core.make_grid(n, spec.grid_kind) for n in (spec.nx, spec.ny))
+
+
 def linear_center_builtin(spec: PlateSpec) -> float:
-    """Linear-limit center w/h using the built-in boundary reduction."""
-    sys = plate_model.build_system(spec)
-    w = plate_model.linear_solve(sys)
-    u, v = plate_model.recover_inplane(sys, w)
-    return plate_model.recover_fields(sys, w, u, v).center_deflection_ratio
+    """Linear-limit center w/h from H4 W = load on the reduced operators."""
+    mat = plate_model.derive_material(spec)
+    x, y = (
+        bc_builder.build_operators(dq_core.diff_matrices(g), spec.bc)
+        for g in _grids(spec)
+    )
+    op = plate_model.bending_operator(spec, mat, x, y)
+    rhs = np.full(len(op), plate_model.load_scale(spec, mat))
+    return _solve_center(op, rhs, x.recovery, y.recovery, x.grid.nodes, y.grid.nodes)
 
 
 def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
-    """Linear-limit center w/h using the auxiliary-point row replacement.
-
-    Assembles the bending operator on the full (moved) grid and replaces
-    the rows of boundary and auxiliary nodes by the value and derivative
-    conditions.  Rows on the auxiliary x-lines take the x-derivative
-    condition; remaining auxiliary y-line rows take the y-derivative one.
-    """
+    """Linear-limit center w/h by auxiliary-point row replacement on the moved
+    grid: value rows on the edges, then derivative rows (slope if clamped,
+    curvature if simply supported) on the auxiliary x-lines, then on the rest
+    of the auxiliary y-lines."""
     mat = plate_model.derive_material(spec)
-    gx0 = dq_core.make_grid(spec.nx, spec.grid_kind)
-    gy0 = dq_core.make_grid(spec.ny, spec.grid_kind)
-    planx = bc_builder.build_delta_rows(gx0, delta, spec.bc)
-    plany = bc_builder.build_delta_rows(gy0, delta, spec.bc)
-    dmx = dq_core.diff_matrices(planx.grid)
-    dmy = dq_core.diff_matrices(plany.grid)
     nx, ny = spec.nx, spec.ny
+    gx, gy = (bc_builder.delta_grid(g, delta) for g in _grids(spec))
+    dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
     op = plate_model.bending_operator(spec, mat, dmx, dmy)
-    rhs = np.full(nx * ny, plate_model.load_scale(spec, mat))
-
-    deriv_x = dmx.first if planx.derivative_order == 1 else dmx.second
-    deriv_y = dmy.first if plany.derivative_order == 1 else dmy.second
-    slope_x = kron(deriv_x, np.eye(ny))
-    slope_y = kron(np.eye(nx), deriv_y)
-
-    i, j = np.divmod(np.arange(nx * ny), ny)  # grid indices of each row
-    edge = np.isin(i, planx.boundary_rows) | np.isin(j, plany.boundary_rows)
-    on_x = ~edge & np.isin(i, planx.delta_rows)
-    on_y = ~edge & ~on_x & np.isin(j, plany.delta_rows)
-    op[edge] = np.eye(nx * ny)[edge]
-    op[on_x] = slope_x[on_x]
-    op[on_y] = slope_y[on_y]
-    rhs[edge | on_x | on_y] = 0.0
-    w = np.linalg.solve(op, rhs).reshape(nx, ny)
-    return plate_model._interp_center(w, planx.grid.nodes, plany.grid.nodes)
+    order = "first" if spec.bc == CLAMPED else "second"
+    # row (i, j) of each operator is the equation at node (x_i, y_j)
+    rows = op.reshape(nx, ny, -1)
+    ident = np.eye(nx * ny).reshape(nx, ny, -1)
+    on_x = kron(getattr(dmx, order), np.eye(ny)).reshape(nx, ny, -1)
+    on_y = kron(np.eye(nx), getattr(dmy, order)).reshape(nx, ny, -1)
+    edge, aux = [0, -1], [1, -2]
+    rows[edge], rows[:, edge] = ident[edge], ident[:, edge]
+    rows[aux, 1:-1] = on_x[aux, 1:-1]
+    rows[2:-2, aux] = on_y[2:-2, aux]
+    rhs = np.zeros((nx, ny))
+    rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
+    return _solve_center(op, rhs, np.eye(nx), np.eye(ny), gx.nodes, gy.nodes)

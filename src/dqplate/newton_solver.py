@@ -14,6 +14,7 @@ from time import perf_counter
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve
 
 from . import plate_model
 from .plate_model import AssembledSystem, PlateSpec, SolutionField
@@ -94,7 +95,7 @@ def newton(
 
         t0 = perf_counter()
         try:
-            step = np.linalg.solve(jac, r)
+            step = solve(jac, r, check_finite=False)  # see plate_model._matmul
         except np.linalg.LinAlgError:
             report.linear_time += perf_counter() - t0
             report.failure = f"singular Jacobian at iteration {report.iterations}"
@@ -179,6 +180,8 @@ def solve_plate(
     system: AssembledSystem | None = None,
 ) -> PlateSolution:
     """Assemble (unless given), start from the linear solution, iterate."""
+    if system is not None and system.spec != spec:
+        raise ValueError("the given system was assembled for a different spec")
     sys = plate_model.build_system(spec) if system is None else system
     if w0 is None:
         w0 = plate_model.linear_solve(sys)

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from numpy import kron
+from scipy.linalg import blas, lu_factor, lu_solve, solve
 
 from . import bc_builder, dq_core
 from .bc_builder import BC_KINDS, BoundaryOperatorSet
 from .dq_core import CHEBYSHEV, GRID_KINDS
-from .tensor_ops import kron, row_scale, unvec
 
 
 class MaterialError(ValueError):
@@ -306,6 +306,18 @@ def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in scipy's BLAS, C-ordered.  The solve path's n^3 products and its
+    solves all use scipy's thread pool, as the in-plane LU does: switching
+    between numpy's and scipy's pools made threaded calls stall 20-190 ms."""
+    return blas.dgemm(1.0, b.T, a.T).T
+
+
+def row_scale(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """SJT product diag(v) M, row i of M scaled by v_i, at n^2 cost."""
+    return np.einsum("i,ij->ij", v, m)
+
+
 def _inplane_forcing(sys, w, derivative=False):
     """In-plane right-hand side [l1; l2] at W and, if asked, its W-derivative.
 
@@ -340,11 +352,12 @@ def _transverse(sys, w, u, v, du=None, dv=None):
     # (coefficient, stress operator, membrane strain, the strain's W-derivative)
     terms = (
         (sys.beta_x, sys.h5, h7 @ u + 0.5 * h7w**2,
-         lambda: h7 @ du + row_scale(h7w, h7)),
+         lambda: _matmul(h7, du) + row_scale(h7w, h7)),
         (sys.beta_y, sys.h6, h8 @ v + 0.5 * h8w**2,
-         lambda: h8 @ dv + row_scale(h8w, h8)),
+         lambda: _matmul(h8, dv) + row_scale(h8w, h8)),
         (sys.gamma, sys.h2, h8 @ u + h7 @ v + h7w * h8w,
-         lambda: h8 @ du + h7 @ dv + row_scale(h8w, h7) + row_scale(h7w, h8)),
+         lambda: _matmul(h8, du) + _matmul(h7, dv)
+         + row_scale(h8w, h7) + row_scale(h7w, h8)),
     )
     t1, t2, t3 = (c * (s @ w) * e for c, s, e, _ in terms)
     r = sys.h4 @ w - sys.alpha * (t1 + t2 + t3) - sys.load
@@ -400,7 +413,7 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
 def linear_solve(sys: AssembledSystem) -> np.ndarray:
     """Small-deflection limit H4 W = load; the Newton starting point."""
     try:
-        return np.linalg.solve(sys.h4, sys.load)
+        return solve(sys.h4, sys.load)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(
             "singular bending operator; boundary reduction is inconsistent"
@@ -472,8 +485,8 @@ def recover_fields(
     """Map stacked interior unknowns to physical full-grid fields."""
     w = _check_size(sys, w)
     rx, ry = sys.bcx.recovery, sys.bcy.recovery
-    nxi, nyi = sys.bcx.n_interior, sys.bcy.n_interior
-    w_full, u_full, v_full = (rx @ unvec(f, nxi, nyi) @ ry.T for f in (w, u, v))
+    shape = (sys.bcx.n_interior, sys.bcy.n_interior)
+    w_full, u_full, v_full = (rx @ f.reshape(shape) @ ry.T for f in (w, u, v))
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
     spec = sys.spec
     return SolutionField(

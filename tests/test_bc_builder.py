@@ -1,4 +1,4 @@
-"""Boundary-condition reductions and the auxiliary-point plan."""
+"""Boundary-condition reductions and the auxiliary-point grid."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from dqplate.bc_builder import (
     SIMPLY_SUPPORTED,
     SingularEliminationError,
     build_clamped,
-    build_delta_rows,
     build_operators,
     build_ss,
+    delta_grid,
 )
 from dqplate.dq_core import CHEBYSHEV, UNIFORM, DiffMatrices, diff_matrices, make_grid
 
@@ -159,50 +159,54 @@ def test_build_operators_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary-point (delta) plan
+# auxiliary-point (delta) grid; the rows it carries are fixed: values at
+# nodes 0 and N-1, derivative conditions at the auxiliary nodes 1 and N-2
 # ---------------------------------------------------------------------------
 
 
 def test_delta_plan_moves_near_boundary_nodes():
     g = make_grid(11, UNIFORM)
-    plan = build_delta_rows(g, 1e-5)
-    assert plan.grid.nodes[1] == 1e-5
-    assert plan.grid.nodes[-2] == 1.0 - 1e-5
-    assert plan.boundary_rows == (0, 10)
-    assert plan.delta_rows == (1, 9)
-    assert plan.derivative_order == 1
+    moved = delta_grid(g, 1e-5)
+    assert moved.nodes[1] == 1e-5
+    assert moved.nodes[-2] == 1.0 - 1e-5
+    np.testing.assert_array_equal(moved.nodes[[0, -1]], [0.0, 1.0])
+    np.testing.assert_array_equal(moved.nodes[2:-2], g.nodes[2:-2])
+    assert g.nodes[1] == 0.1  # the input grid is left as it was
+
+
+def delta_beam(n, kind, order):
+    """Unit-load beam, fourth derivative 1, on the delta grid: value rows at
+    the ends, derivative rows of the given order at the auxiliary nodes."""
+    moved = delta_grid(make_grid(n, kind), 1e-5)
+    dm = diff_matrices(moved)
+    op = dm.fourth.copy()
+    rhs = np.ones(n)
+    op[[0, -1]] = np.eye(n)[[0, -1]]
+    op[[1, -2]] = (dm.first if order == 1 else dm.second)[[1, -2]]
+    rhs[[0, 1, -2, -1]] = 0.0
+    return moved.nodes, np.linalg.solve(op, rhs)
 
 
 def test_delta_plan_ss_uses_curvature_rows():
-    plan = build_delta_rows(make_grid(9, CHEBYSHEV), 1e-5, SIMPLY_SUPPORTED)
-    assert plan.derivative_order == 2
+    """Simply supported line, curvature rows: exact x (1 - 2x^2 + x^3) / 24."""
+    x, w = delta_beam(9, CHEBYSHEV, 2)
+    exact = x * (1 - 2 * x**2 + x**3) / 24.0
+    assert abs(w[4] - exact[4]) / exact[4] < 1e-4
 
 
 def test_delta_plan_rejects_bad_distance():
     g = make_grid(11, UNIFORM)
     with pytest.raises(ValueError):
-        build_delta_rows(g, 0.0)
+        delta_grid(g, 0.0)
     with pytest.raises(ValueError):
-        build_delta_rows(g, g.nodes[1])
+        delta_grid(g, g.nodes[1])
     with pytest.raises(ValueError):
-        build_delta_rows(g, -1e-6)
+        delta_grid(g, -1e-6)
 
 
 def test_delta_plan_clamped_beam():
     """Constant-load clamped line: exact solution x^2 (1-x)^2 / 24."""
-    plan = build_delta_rows(make_grid(11, UNIFORM), 1e-5)
-    dm = diff_matrices(plan.grid)
-    op = dm.fourth.copy()
-    rhs = np.ones(11)
-    for r in plan.boundary_rows:
-        op[r] = 0.0
-        op[r, r] = 1.0
-        rhs[r] = 0.0
-    for r in plan.delta_rows:
-        op[r] = dm.first[r]
-        rhs[r] = 0.0
-    w = np.linalg.solve(op, rhs)
-    x = plan.grid.nodes
+    x, w = delta_beam(11, UNIFORM, 1)
     exact = x**2 * (1 - x) ** 2 / 24.0
     center = 5
     assert abs(w[center] - exact[center]) / exact[center] < 1e-4

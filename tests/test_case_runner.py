@@ -338,3 +338,14 @@ def test_converge_linear_comparison(tmp_path, table1_clamped):
     assert {r[0] for r in rows} == {"dqcy", "delta"}
     errs = {(r[0], int(r[1])): float(r[4]) for r in rows}
     assert errs[("dqcy", 11)] < errs[("delta", 11)]
+
+
+def test_converge_delta_too_large_names_its_path(tmp_path, capsys):
+    """delta beyond a grid's second node: exit 2 before any CSV is written."""
+    doc = json.loads(json.dumps(SS_CASE))
+    doc["convergence"] = {"grids": [7, 9], "linear_comparison": True, "delta": 0.2}
+    path = write_case(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["converge", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: convergence.delta")
+    assert not list(out.glob("*.csv"))

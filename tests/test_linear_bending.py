@@ -14,7 +14,14 @@ from dqplate.linear_bending import (
     navier_ss_coefficient,
     series_coefficient,
 )
-from dqplate.plate_model import derive_material
+from dqplate.dq_core import UNIFORM
+from dqplate.plate_model import (
+    PlateSpec,
+    build_system,
+    derive_material,
+    linear_solve,
+    recover_fields,
+)
 
 
 def test_navier_square_coefficient():
@@ -100,3 +107,34 @@ def test_linear_reference_center_value(table1_clamped):
         clamped_ritz_coefficient() * scale,
         rtol=1e-12,
     )
+
+
+def test_delta_center_matches_exact_solve():
+    """FIG2 plate, simply supported, uniform 13x13, q = 1e-3.
+
+    The pinned value is the 40-digit solution of the same float64 system
+    (mpmath); without row equilibration numpy's solve gave 0.000947890.
+    """
+    spec = PlateSpec.isotropic(
+        a=16.0, h=0.1, e=30e6, nu=0.316, q=1e-3, nx=13, ny=13,
+        bc=SIMPLY_SUPPORTED, grid_kind=UNIFORM,
+    )
+    assert linear_center_delta(spec) == pytest.approx(0.000958378946466, rel=1e-7)
+
+
+@pytest.mark.parametrize("case", ["ss", "clamped", "rectangular", "rectangular-clamped"])
+def test_builtin_center_matches_linear_solve(case, table1_ss, table1_clamped,
+                                             orthotropic_spec):
+    """H4 W = load straight from the reduced operators gives the center of
+    the assembled system's linear solve mapped through recover_fields."""
+    spec = {
+        "ss": table1_ss,
+        "clamped": table1_clamped,
+        "rectangular": replace(table1_ss, b=75.0, nx=9, ny=7),
+        "rectangular-clamped": replace(orthotropic_spec, bc=CLAMPED, ny=9),
+    }[case]
+    sys = build_system(spec)
+    w = linear_solve(sys)
+    zero = np.zeros_like(w)
+    expected = recover_fields(sys, w, zero, zero).center_deflection_ratio
+    assert linear_center_builtin(spec) == pytest.approx(expected, rel=1e-12)

@@ -162,3 +162,17 @@ def test_reference_loads_converge_from_linear_guess(table1_ss, table1_clamped):
         sol = solve_plate(spec)
         assert sol.report.converged, f"q={spec.q} {spec.bc}"
         assert sol.report.iterations <= 10
+
+
+def test_system_must_match_spec(table1_ss):
+    """A system built for another load or support is refused, not solved."""
+    from dataclasses import replace
+
+    from dqplate.bc_builder import CLAMPED
+    from dqplate.plate_model import build_system
+
+    system = build_system(table1_ss)
+    for other in (replace(table1_ss, q=3.0), replace(table1_ss, bc=CLAMPED)):
+        with pytest.raises(ValueError, match="different spec"):
+            solve_plate(other, system=system)
+    assert solve_plate(table1_ss, system=system).report.converged

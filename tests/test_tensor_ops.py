@@ -1,4 +1,5 @@
-"""Row scaling, the Jacobian rules built from it, Kronecker stacking."""
+"""Row scaling (the SJT product), the Jacobian rules built from it, Kronecker
+stacking of row-major fields."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dqplate import tensor_ops as top
+from dqplate.plate_model import row_scale
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -44,15 +45,15 @@ def central_fd(expr, u, step=1e-6):
 
 
 def test_hadamard_example():
-    out = top.row_scale(np.array([10.0, 100.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = row_scale(np.array([10.0, 100.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
     np.testing.assert_array_equal(out, [[10.0, 20.0], [300.0, 400.0]])
 
 
 def test_hadamard_shape_mismatch():
     with pytest.raises(ValueError):
-        top.row_scale(np.ones(4), np.ones((3, 3)))
+        row_scale(np.ones(4), np.ones((3, 3)))
     with pytest.raises(ValueError):
-        top.row_scale(np.ones((3, 1)), np.ones((3, 3)))
+        row_scale(np.ones((3, 1)), np.ones((3, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,31 +61,31 @@ def test_hadamard_shape_mismatch():
 def test_hadamard_algebra(a, b, u, v, k):
     tol = {"rtol": 1e-12, "atol": 1e-12}
     np.testing.assert_allclose(
-        top.row_scale(u, top.row_scale(v, a)), top.row_scale(u * v, a), **tol
+        row_scale(u, row_scale(v, a)), row_scale(u * v, a), **tol
     )
     np.testing.assert_allclose(
-        top.row_scale(u, top.row_scale(v, a)),
-        top.row_scale(v, top.row_scale(u, a)),
+        row_scale(u, row_scale(v, a)),
+        row_scale(v, row_scale(u, a)),
         **tol,
     )
     np.testing.assert_allclose(
-        top.row_scale(u + v, a), top.row_scale(u, a) + top.row_scale(v, a), **tol
+        row_scale(u + v, a), row_scale(u, a) + row_scale(v, a), **tol
     )
     np.testing.assert_allclose(
-        top.row_scale(v, a + b), top.row_scale(v, a) + top.row_scale(v, b), **tol
+        row_scale(v, a + b), row_scale(v, a) + row_scale(v, b), **tol
     )
-    np.testing.assert_allclose(k * top.row_scale(v, a), top.row_scale(k * v, a), **tol)
+    np.testing.assert_allclose(k * row_scale(v, a), row_scale(k * v, a), **tol)
 
 
 def test_hadamard_with_ones_is_identity(rng):
     a = rng.standard_normal((3, 5))
-    np.testing.assert_array_equal(top.row_scale(np.ones(3), a), a)
+    np.testing.assert_array_equal(row_scale(np.ones(3), a), a)
 
 
 def test_row_scale_equals_diagonal_product(rng):
     a = rng.standard_normal((4, 4))
     v = rng.standard_normal(4)
-    np.testing.assert_allclose(top.row_scale(v, a), np.diag(v) @ a, rtol=1e-14)
+    np.testing.assert_allclose(row_scale(v, a), np.diag(v) @ a, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_scale_rule_matches_fd(n, rng):
     m = rng.standard_normal((n, n))
     c = rng.standard_normal(n)
     u = rng.standard_normal(n)
-    jac = top.row_scale(c, m)
+    jac = row_scale(c, m)
     ref = central_fd(lambda z: c * (m @ z), u)
     assert np.abs(jac - ref).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
 
@@ -110,14 +111,14 @@ def test_power_rule_matches_fd(q, rng):
     n = 9
     m = rng.standard_normal((n, n))
     u = rng.standard_normal(n)
-    jac = top.row_scale(q * (m @ u) ** (q - 1.0), m)
+    jac = row_scale(q * (m @ u) ** (q - 1.0), m)
     ref = central_fd(lambda z: (m @ z) ** q, u)
     assert np.abs(jac - ref).max() <= 1e-7 * max(np.abs(jac).max(), 1.0)
 
 
 def product_jacobian(m1, m2, u):
     """Jacobian of (M1 u) o (M2 u) as two row_scale terms, as in dl1 and t3."""
-    return top.row_scale(m2 @ u, m1) + top.row_scale(m1 @ u, m2)
+    return row_scale(m2 @ u, m1) + row_scale(m1 @ u, m2)
 
 
 def test_product_rule_matches_fd(rng):
@@ -135,24 +136,24 @@ def test_product_rule_degenerates_to_power_rule(rng):
     m = rng.standard_normal((n, n))
     u = rng.standard_normal(n)
     np.testing.assert_allclose(
-        product_jacobian(m, m, u), top.row_scale(2.0 * (m @ u), m), rtol=1e-12
+        product_jacobian(m, m, u), row_scale(2.0 * (m @ u), m), rtol=1e-12
     )
 
 
 # ---------------------------------------------------------------------------
-# Kronecker products and row-major stacking (vec = ravel)
+# Kronecker products and row-major stacking (vec = ravel, unvec = reshape)
 # ---------------------------------------------------------------------------
 
 
 def test_vec_stacks_rows():
     np.testing.assert_array_equal(
-        top.unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2), [[1.0, 2.0], [3.0, 4.0]]
+        np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2), [[1.0, 2.0], [3.0, 4.0]]
     )
 
 
 def test_kron_identity_block_structure():
     b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = top.kron(np.eye(2), b)
+    out = np.kron(np.eye(2), b)
     np.testing.assert_array_equal(out[:2, :2], b)
     np.testing.assert_array_equal(out[2:, 2:], b)
     np.testing.assert_array_equal(out[:2, 2:], np.zeros((2, 2)))
@@ -161,13 +162,13 @@ def test_kron_identity_block_structure():
 @settings(max_examples=30, deadline=None)
 @given(x=matrices(3, 4))
 def test_vec_unvec_round_trip(x):
-    np.testing.assert_array_equal(top.unvec(x.ravel(), 3, 4), x)
+    np.testing.assert_array_equal(x.ravel().reshape(3, 4), x)
 
 
 def test_vec_of_triple_product(rng):
     a, x, b = (rng.standard_normal((3, 3)) for _ in range(3))
     lhs = (a @ x @ b).ravel()
-    rhs = top.kron(a, b.T) @ x.ravel()
+    rhs = np.kron(a, b.T) @ x.ravel()
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -176,18 +177,14 @@ def test_one_sided_product_identities(rng):
     b = rng.standard_normal((5, 5))
     x = rng.standard_normal((4, 5))
     np.testing.assert_allclose(
-        (a @ x).ravel(), top.kron(a, np.eye(5)) @ x.ravel(), rtol=1e-12
+        (a @ x).ravel(), np.kron(a, np.eye(5)) @ x.ravel(), rtol=1e-12
     )
     np.testing.assert_allclose(
-        (x @ b).ravel(), top.kron(np.eye(4), b.T) @ x.ravel(), rtol=1e-12
+        (x @ b).ravel(), np.kron(np.eye(4), b.T) @ x.ravel(), rtol=1e-12
     )
     np.testing.assert_allclose(
         (a @ x + x @ b).ravel(),
-        (top.kron(a, np.eye(5)) + top.kron(np.eye(4), b.T)) @ x.ravel(),
+        (np.kron(a, np.eye(5)) + np.kron(np.eye(4), b.T)) @ x.ravel(),
         rtol=1e-12,
     )
 
-
-def test_unvec_rejects_bad_length():
-    with pytest.raises(ValueError):
-        top.unvec(np.arange(5.0), 2, 3)
