@@ -430,13 +430,20 @@ def run_convergence(case: Case, out_dir: Path) -> int:
 
     lin_rows = []  # first, so that a case the comparison rejects writes nothing
     if case.conv_linear:
+        if len(case.conv_kinds) != 1:
+            raise CaseError(
+                "convergence.linear_comparison: linear_comparison.csv has no kind "
+                f"column, so the comparison needs exactly one of convergence.kinds, "
+                f"got {case.conv_kinds}"
+            )
+        (kind,) = case.conv_kinds
         try:
             reference_center = linear_bending.linear_reference_center(case.spec)
         except ValueError as exc:
             raise CaseError(f"convergence.linear_comparison: {exc}") from exc
         builtin_name = "dqcy" if case.spec.bc == CLAMPED else "dqwb"
         for npts in case.conv_grids:
-            spec = replace(case.spec, nx=npts, ny=npts)
+            spec = replace(case.spec, nx=npts, ny=npts, grid_kind=kind)
             center_b = linear_bending.linear_center_builtin(spec)
             try:
                 center_d = linear_bending.linear_center_delta(spec, case.conv_delta)

@@ -1,9 +1,13 @@
 """Newton iteration with a pluggable Jacobian strategy, plus plate drivers.
 
-The iteration is plain Newton with an LU solve per step (never an explicit
-inverse).  A half-step fallback engages only when a full step increases the
-residual, so benchmark timings stay comparable to the undamped method while
-runaway steps are caught.  Convergence is measured on the max-norm of the
+The iteration is plain Newton with an LU solve per step, which factors the
+Jacobian in place; the step never forms an inverse of J.  Only the analytic
+Jacobian uses an explicit inverse, of the constant in-plane block, formed
+once per assembled system: it turns each Jacobian's in-plane sensitivity
+solve into products with 1-D factors (see ``plate_model.jacobian``).  A
+half-step fallback engages only when a full step increases the residual,
+so benchmark timings stay comparable to the undamped method while runaway
+steps are caught.  Convergence is measured on the max-norm of the
 residual, default tolerance 1e-5.
 """
 
@@ -63,7 +67,8 @@ def newton(
 
     Returns the last iterate together with a report; divergence (singular
     Jacobian, non-finite values, iteration budget) is reported rather than
-    raised so callers can dump diagnostics.
+    raised so callers can dump diagnostics.  ``jacobian_fn`` must return a
+    new array on every call: the step's LU may overwrite it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -95,12 +100,16 @@ def newton(
 
         t0 = perf_counter()
         try:
-            step = solve(jac, r, check_finite=False)  # see plate_model._matmul
+            # scipy's LAPACK (see plate_model._matmul); J is a temporary, so a
+            # Fortran-ordered J, as plate_model.jacobian returns, is factored
+            # in place instead of copied.
+            step = solve(jac, r, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             report.linear_time += perf_counter() - t0
             report.failure = f"singular Jacobian at iteration {report.iterations}"
             return w, report
         report.linear_time += perf_counter() - t0
+        del jac  # holds the LU now; freed before the next Jacobian is built
 
         # Full step first; halve only while the residual norm would grow.
         best_w, best_r, best_norm = None, None, np.inf

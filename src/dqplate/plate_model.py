@@ -13,10 +13,16 @@ with o the elementwise product.  The first two equations are linear in
 (U, V) for given W, so one LU factorization of the stacked block system
 eliminates them; Newton then iterates on W alone.
 
-Each nonlinear term is written once: ``_inplane_forcing`` forms the
-in-plane right-hand side, ``_transverse`` the three transverse terms, and
-both give their exact derivative as row-scaled (SJT) operator copies.  The
-residual, the coupled residual and the Jacobian all call these two.
+Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
+reduced matrices; ``assemble`` keeps these terms and the dense operators,
+stacked so that one matrix-vector product gives every H_k W.  Each
+nonlinear term is written once: ``_FORCING`` lists the in-plane right-hand
+side's products (A W) o (B W), and ``_transverse_terms`` the three
+transverse terms c (S W) o e.  The residual and the coupled residual
+evaluate them; the Jacobian differentiates them into row-scaled (SJT)
+operator copies and applies every operator through its 1-D factors, using
+the in-plane block's inverse, formed once per system, in place of a solve.
+Every BLAS and LAPACK call of the Newton iteration goes through scipy.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
 equilibrium equations, H2 the mixed-derivative coupling block, H4 the
@@ -26,6 +32,7 @@ membrane forces, H7/H8 the scaled first-derivative maps along x and y.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -164,27 +171,88 @@ def load_scale(spec: PlateSpec, mat: DerivedMaterial) -> float:
     return spec.q * spec.a**4 / (mat.d1 * spec.h)
 
 
+def _bending_terms(spec: PlateSpec, mat: DerivedMaterial, x, y) -> tuple:
+    """Kronecker terms of the scaled bending operator (see ``_kron_sum``)."""
+    rab = spec.a / spec.b
+    return (
+        (1.0, x.fourth, None),
+        ((2.0 * mat.d3 / mat.d1) * rab**2, x.second, y.second),
+        ((mat.d2 / mat.d1) * rab**4, None, y.fourth),
+    )
+
+
+def _kron_sum(terms, nx: int, ny: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense sum of c kron(X, Y) over Kronecker terms (c, X, Y), X acting on
+    the x index and Y on the y index of the row-stacked field; None stands
+    for the identity.  Written term by term into ``out`` (zeros if None): a
+    term with an identity factor fills only its O(n N) entries."""
+    out = np.zeros((nx * ny, nx * ny)) if out is None else out
+    o4 = out.reshape(nx, ny, nx, ny)
+    for c, x, y in terms:
+        if y is None:  # c X[a, b] at row (a, j), column (b, j)
+            np.einsum("ajbj->ajb", o4)[...] += c * x[:, None, :]
+        elif x is None:  # c Y[j, k] at row (a, j), column (a, k)
+            np.einsum("ajak->ajk", o4)[...] += c * y
+        else:
+            t = kron(x, y)
+            t *= c
+            out += t
+    return out
+
+
 def bending_operator(spec: PlateSpec, mat: DerivedMaterial, x, y) -> np.ndarray:
     """Scaled bending operator from per-direction ``second``/``fourth`` matrices.
 
     ``x`` and ``y`` are the reduced interior operators in assembly and the
     full-grid weighting matrices in the auxiliary-point comparison.
     """
-    rab = spec.a / spec.b
-    return (
-        kron(x.fourth, np.eye(len(y.fourth)))
-        + (2.0 * mat.d3 / mat.d1) * rab**2 * kron(x.second, y.second)
-        + (mat.d2 / mat.d1) * rab**4 * kron(np.eye(len(x.fourth)), y.fourth)
-    )
+    return _kron_sum(_bending_terms(spec, mat, x, y), len(x.fourth), len(y.fourth))
+
+
+@dataclass(eq=False)
+class InplaneBlock:
+    """The in-plane block B = [[H1, H2], [H2, H3]] as the LU factors of B^T,
+    and B's inverse once the analytic Jacobian has asked for it.
+
+    B^T is factored because it is the Fortran-ordered view of B assembled in
+    C order, so LAPACK factors it in place.  The inverse is formed from the
+    factors the first time ``inverse`` is called and then kept: copies made
+    by ``with_load`` share this object, so a load sweep forms it once.
+    """
+
+    lu: tuple
+    _inverse: np.ndarray | None = field(default=None, repr=False)
+    _lock: Any = field(default_factory=threading.Lock, repr=False)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """B^-1 rhs."""
+        return lu_solve(self.lu, rhs, trans=1)
+
+    def inverse(self) -> np.ndarray:
+        """B^-1, C-ordered: solving B^T X = I gives X = B^-T in Fortran
+        order, whose transpose is B^-1 in C order."""
+        with self._lock:
+            if self._inverse is None:
+                eye = np.eye(len(self.lu[1]), order="F")
+                self._inverse = lu_solve(self.lu, eye, overwrite_b=True).T
+            return self._inverse
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
     """Stacked interior operators for one plate case.
 
-    ``n`` is the per-field unknown count.  The block LU of
-    [[H1, H2], [H2, H3]] is factored once and reused for every in-plane
-    recovery and Jacobian sensitivity solve.
+    ``n`` is the per-field unknown count.  ``terms`` gives each of H1..H8 as
+    its Kronecker terms (see ``_kron_sum``); ``h1``..``h8`` are the dense
+    operators, views of one (8, n, n) array ``ops`` so that one
+    matrix-vector product gives every H_k W.  A system made with ``replace``
+    whose h_k are not those views gets a fresh stack of its own h_k, so the
+    stack and the fields never disagree.  The residual reads the dense
+    operators, the analytic Jacobian the terms of all but H4, so a replaced
+    operator other than H4 needs matching terms.  ``inplane`` holds the LU
+    of the in-plane block, factored once and reused for every in-plane
+    recovery, and the block's inverse, formed the first time an analytic
+    Jacobian needs it.
     """
 
     spec: PlateSpec
@@ -199,13 +267,30 @@ class AssembledSystem:
     h6: np.ndarray
     h7: np.ndarray
     h8: np.ndarray
+    terms: tuple = field(repr=False)
     load: np.ndarray
     n: int
     alpha: float
     beta_x: float
     beta_y: float
     gamma: float
-    inplane_lu: Any = field(repr=False)
+    inplane: InplaneBlock = field(repr=False)
+    ops: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        hs = (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6, self.h7, self.h8)
+        ops = hs[0].base
+        if not (
+            isinstance(ops, np.ndarray)
+            and ops.shape == (8, self.n, self.n)
+            and all(h.base is ops and h.ctypes.data == ops[k].ctypes.data
+                    and h.shape == ops.shape[1:] and h.strides == ops.strides[1:]
+                    for k, h in enumerate(hs))
+        ):
+            ops = np.stack(hs)
+            for k, name in enumerate(("h1", "h2", "h3", "h4", "h5", "h6", "h7", "h8")):
+                object.__setattr__(self, name, ops[k])
+        object.__setattr__(self, "ops", ops)
 
 
 def assemble(
@@ -217,7 +302,9 @@ def assemble(
     the y-direction ones on the column index of the row-stacked fields.
     Aspect-ratio powers follow from mapping the plate to the unit square;
     the transverse equation is normalized by the x bending rigidity, so its
-    load is q a^4 / (D1 h).
+    load is q a^4 / (D1 h).  Each operator is given once, as its Kronecker
+    terms, from which its dense matrix is written; the in-plane inverse is
+    not formed here.
     """
     if bcx.bc_kind != spec.bc or bcy.bc_kind != spec.bc:
         raise AssemblyError("boundary operator kind does not match the spec")
@@ -229,27 +316,31 @@ def assemble(
     mat = derive_material(spec)
     nxi, nyi = bcx.n_interior, bcy.n_interior
     n = nxi * nyi
-    ix = np.eye(nxi)
-    iy = np.eye(nyi)
     a, b, h = spec.a, spec.b, spec.h
     rab = a / b
+    ax, bx, ay, by = bcx.first, bcx.second, bcy.first, bcy.second
+    shear = mat.mu * spec.g12
 
-    bx_iy = kron(bcx.second, iy)
-    ix_by = kron(ix, bcy.second)
+    terms = (
+        ((spec.e1, bx, None), (shear * rab**2, None, by)),                   # H1
+        ((mat.c, ax, ay),),                                                  # H2
+        ((spec.e2, None, by), (shear * rab**-2, bx, None)),                  # H3
+        _bending_terms(spec, mat, bcx, bcy),                                 # H4
+        ((spec.e1 * (h / a) ** 2, bx, None),
+         (spec.nu12 * spec.e2 * (h / b) ** 2, None, by)),                    # H5
+        ((spec.e2 * (h / b) ** 2, None, by),
+         (mat.nu21 * spec.e1 * (h / a) ** 2, bx, None)),                     # H6
+        (((h / a) ** 2, ax, None),),                                         # H7
+        (((h / b) ** 2, None, ay),),                                         # H8
+    )
+    ops = np.zeros((8, n, n))
+    for op, op_terms in zip(ops, terms):
+        _kron_sum(op_terms, nxi, nyi, out=op)
 
-    h1 = spec.e1 * bx_iy + mat.mu * spec.g12 * rab**2 * ix_by
-    h2 = mat.c * kron(bcx.first, bcy.first)
-    h3 = spec.e2 * ix_by + mat.mu * spec.g12 * rab**-2 * bx_iy
-    h4 = bending_operator(spec, mat, bcx, bcy)
-    h5 = spec.e1 * (h / a) ** 2 * bx_iy + spec.nu12 * spec.e2 * (h / b) ** 2 * ix_by
-    h6 = spec.e2 * (h / b) ** 2 * ix_by + mat.nu21 * spec.e1 * (h / a) ** 2 * bx_iy
-    h7 = (h / a) ** 2 * kron(bcx.first, iy)
-    h8 = (h / b) ** 2 * kron(ix, bcy.first)
-
-    load = load_scale(spec, mat) * np.ones(n)
-
-    block = np.block([[h1, h2], [h2, h3]])
-    lu = lu_factor(block)
+    # B^T is the Fortran-ordered view of B, factored in place.
+    block = np.empty((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:], block[n:, :n], block[n:, n:] = ops[0], ops[1], ops[1], ops[2]
+    lu = lu_factor(block.T, overwrite_a=True)
     diag = np.abs(np.diag(lu[0]))
     if diag.min() <= 1e-14 * diag.max():
         raise DecouplingError(
@@ -258,25 +349,15 @@ def assemble(
         )
 
     return AssembledSystem(
-        spec=spec,
-        material=mat,
-        bcx=bcx,
-        bcy=bcy,
-        h1=h1,
-        h2=h2,
-        h3=h3,
-        h4=h4,
-        h5=h5,
-        h6=h6,
-        h7=h7,
-        h8=h8,
-        load=load,
+        spec, mat, bcx, bcy, *ops,
+        terms=terms,
+        load=load_scale(spec, mat) * np.ones(n),
         n=n,
         alpha=a**4 / (mat.mu * mat.d1 * h),
         beta_x=(a / h) ** 2,
         beta_y=(b / h) ** 2,
         gamma=2.0 * mat.mu * spec.g12 / mat.c,
-        inplane_lu=lu,
+        inplane=InplaneBlock(lu),
     )
 
 
@@ -292,8 +373,8 @@ def build_system(spec: PlateSpec) -> AssembledSystem:
 def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
     """Copy of an assembled system under a different pressure.
 
-    Only the load vector depends on q, so load sweeps reuse the operators
-    and the in-plane factorization.
+    Only the load vector depends on q, so load sweeps reuse the operators,
+    the in-plane factorization and, once formed, the in-plane inverse.
     """
     spec = replace(sys.spec, q=q)
     return replace(sys, spec=spec, load=load_scale(spec, sys.material) * np.ones(sys.n))
@@ -306,72 +387,171 @@ def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in scipy's BLAS, C-ordered.  The solve path's n^3 products and its
-    solves all use scipy's thread pool, as the in-plane LU does: switching
-    between numpy's and scipy's pools made threaded calls stall 20-190 ms."""
-    return blas.dgemm(1.0, b.T, a.T).T
+def _matmul(a: np.ndarray, b: np.ndarray, out=None, beta=0.0) -> np.ndarray:
+    """a @ b (+ beta out, written into ``out`` when given) for C-ordered
+    arrays, in scipy's BLAS.  The solve path's products and solves all use
+    scipy's thread pool, as the in-plane LU does: switching between numpy's
+    and scipy's pools made threaded calls stall 20-190 ms."""
+    if out is None:
+        return blas.dgemm(1.0, b.T, a.T).T
+    return blas.dgemm(1.0, b.T, a.T, beta=beta, c=out.T, overwrite_c=True).T
+
+
+def _products(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
+    """Rows H1 W .. H8 W: one matrix-vector product over the stacked operators."""
+    n = sys.n
+    return blas.dgemv(1.0, sys.ops.reshape(8 * n, n).T, w, trans=1).reshape(8, n)
 
 
 def row_scale(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """SJT product diag(v) M, row i of M scaled by v_i, at n^2 cost."""
+    """SJT product diag(v) M, row i of M scaled by v_i, at n^2 cost: the dense
+    form of the row scalings that ``jacobian`` folds into 1-D factors."""
     return np.einsum("i,ij->ij", v, m)
 
 
-def _inplane_forcing(sys, w, derivative=False):
-    """In-plane right-hand side [l1; l2] at W and, if asked, its W-derivative.
+# The in-plane right-hand side [l1; l2]: each block a sum of products
+# (A W) o (B W), given as pairs of operator indices (0 is H1, ..., 7 is H8).
+# A product's W-derivative is the SJT pair diag(B W) A + diag(A W) B.
+_FORCING = (((6, 0), (7, 1)), ((7, 2), (6, 1)))
+# dl/dW by operator: k -> [(b, j)] for each diag(H_j W) H_k in block b.
+_DL_PARTS = {
+    k: [(b, j) for b, block in enumerate(_FORCING) for pair in block
+        for j, kk in (pair, pair[::-1]) if kk == k]
+    for k in (6, 7, 0, 1, 2)
+}
 
-    Each block is a sum of products (A W) o (B W), whose derivative is the
-    SJT pair diag(B W) A + diag(A W) B.
+
+def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
+    """In-plane right-hand side [l1; l2] from the products H_k W."""
+    return np.concatenate([hw[a] * hw[b] + hw[c] * hw[d] for (a, b), (c, d) in _FORCING])
+
+
+def _inplane_fields(sys: AssembledSystem, hw: np.ndarray) -> np.ndarray:
+    """Rows U, V solving B [U; V] = -[l1; l2], by the in-plane LU."""
+    return sys.inplane.solve(-_inplane_forcing(hw)).reshape(2, sys.n)
+
+
+def _transverse_terms(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray):
+    """The nonlinear transverse terms c (H_k W) o e as (c, k, e): a coefficient,
+    the index of the stress operator H_k (H5, H6, H2) and a membrane strain."""
+    n = sys.n
+    h7u, h8u, h7v, h8v = _matmul(sys.ops[6:].reshape(2 * n, n), uv.T).T.reshape(4, n)
+    h7w, h8w = hw[6], hw[7]
+    return (
+        (sys.beta_x, 4, h7u + 0.5 * h7w**2),
+        (sys.beta_y, 5, h8v + 0.5 * h8w**2),
+        (sys.gamma, 1, h8u + h7v + h7w * h8w),
+    )
+
+
+def _transverse(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Transverse residual H4 W - alpha sum c (H_k W) o e - load."""
+    t1, t2, t3 = (c * hw[k] * e for c, k, e in _transverse_terms(sys, hw, uv))
+    return hw[3] - sys.alpha * (t1 + t2 + t3) - sys.load
+
+
+def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
+    """Exact derivative of ``residual`` with respect to W, Fortran-ordered.
+
+    With p_k = c_k S_k W for the transverse terms c_k (S_k W) o e_k,
+
+        J = H4 - alpha [sum_k diag(c_k e_k) S_k + diag(q7) H7 + diag(q8) H8]
+            + alpha Y dl/dW,
+        q7 = p1 o H7 W + p3 o H8 W,   q8 = p2 o H8 W + p3 o H7 W,
+        Y = [diag(p1) H7 + diag(p3) H8, diag(p3) H7 + diag(p2) H8] B^-1,
+
+    where the last term is -alpha sum_k diag(p_k) (de_k/dU dU/dW + de_k/dV
+    dV/dW) with [dU/dW; dV/dW] = -B^-1 dl/dW.  H7 and H8 are applied to
+    B^-1 from the left, and dl/dW's operators (H7, H8, H1, H2, H3) to the
+    column-scaled Y from the right, all through their 1-D factors (sum
+    factorization): O(n^2 N) work, no n^3 product or solve.
+
+    With the x index outermost in a row-stacked field, kron(X, I) Z is one
+    product of X with Z seen as N_x rows, and kron(I, Y) Z is Y times each
+    x-line block of Z, where a row scaling folds into the factor.  J is
+    built as J^T, C-ordered, so that the right-hand products become
+    left-hand ones, and is returned in Fortran order, ready to be factored
+    in place.
     """
-    h1, h2, h3, h7, h8 = sys.h1, sys.h2, sys.h3, sys.h7, sys.h8
-    h1w, h2w, h3w, h7w, h8w = h1 @ w, h2 @ w, h3 @ w, h7 @ w, h8 @ w
-    blocks = (
-        ((h7, h7w, h1, h1w), (h8, h8w, h2, h2w)),  # l1
-        ((h8, h8w, h3, h3w), (h7, h7w, h2, h2w)),  # l2
-    )
-    rhs = np.concatenate([aw * bw + cw * dw for (_, aw, _, bw), (_, cw, _, dw) in blocks])
-    if not derivative:
-        return rhs, None
-    drhs = np.vstack([
-        sum(row_scale(bw, a) + row_scale(aw, b) for a, aw, b, bw in blk)
-        for blk in blocks
-    ])
-    return rhs, drhs
+    w = _check_size(sys, w)
+    n, nx, alpha = sys.n, sys.bcx.n_interior, sys.alpha
+    ny = n // nx
+    lines = [slice(i * ny, (i + 1) * ny) for i in range(nx)]
+    hw = _products(sys, w)
+    terms = _transverse_terms(sys, hw, _inplane_fields(sys, hw))
+    p1, p2, p3 = (c * hw[k] for c, k, _ in terms)
 
+    # Y = diag(p1) H7 B_U + diag(p3) H7 B_V + diag(p3) H8 B_U + diag(p2) H8 B_V,
+    # with B_U, B_V the row blocks of B^-1 and H7 = c7 kron(A_x, I),
+    # H8 = c8 kron(I, A_y): the H7 products in one product each and their
+    # row scalings, then line by line the H8 products, whose row scalings
+    # fold into A_y.
+    ((c7, ax, _),), ((c8, _, ay),) = sys.terms[6], sys.terms[7]
+    b_u, b_v = sys.inplane.inverse().reshape(2, nx, ny, 2 * n)
+    y = np.empty((nx, ny, 2 * n))
+    t = np.empty((nx, ny, 2 * n))
+    _matmul(c7 * ax, b_u.reshape(nx, -1), out=y.reshape(nx, -1))
+    _matmul(c7 * ax, b_v.reshape(nx, -1), out=t.reshape(nx, -1))
+    y *= p1.reshape(nx, ny, 1)
+    t *= p3.reshape(nx, ny, 1)
+    y += t
+    f_u, f_v = ((c8 * p).reshape(nx, ny, 1) * ay for p in (p3, p2))
+    for i in range(nx):
+        _matmul(f_u[i], b_u[i], out=y[i], beta=1.0)
+        _matmul(f_v[i], b_v[i], out=y[i], beta=1.0)
+    # yt[i, b]: x-line i's block of Y_b^T, for Y = [Y_0, Y_1] acting on [l1; l2]
+    yt = t.reshape(nx, 2, ny, n)
+    np.copyto(yt, y.reshape(n, 2, nx, ny).transpose(2, 1, 3, 0))
+    del y
 
-def _transverse(sys, w, u, v, du=None, dv=None):
-    """Transverse residual at (W, U, V) and, given dU/dW and dV/dW, its Jacobian.
+    # J^T = H4^T + M_I + kron(A_x^T, I) M_A + kron(B_x^T, I) M_B, one M per
+    # x factor of the operators' terms (I, A_x = bcx.first, B_x = bcx.second).
+    # A term c kron(X, Y) of an operator adds to M_X, on each x-line block i,
+    # parts with the factor c Y^T diag(v_i) (c diag(v_i) when Y = I):
+    #   - J's row-scaled operators diag(v) H add it on the block diagonal;
+    #   - alpha Y dl/dW = sum_k M_k H_k, with M_k = alpha sum Y_b diag(H_j W)
+    #     over (b, j) in _DL_PARTS[k], adds it times yt[i, b], v = alpha H_j W.
+    q7, q8 = p1 * hw[6] + p3 * hw[7], p2 * hw[7] + p3 * hw[6]
+    row_scaled = [(k, -alpha * c * e) for c, k, e in terms]
+    row_scaled += [(6, -alpha * q7), (7, -alpha * q8)]
+    bx = sys.bcx.second
+    slot = {id(x): g for g, x in enumerate((None, ax, bx))}  # M_I, M_A, M_B
+    f = np.zeros((nx, 3, ny, 2, ny))  # per block and M: factors of yt[i, 0], yt[i, 1]
+    d = np.zeros((nx, 3, ny, ny))  # per block and M: the block diagonal
 
-    The nonlinear part is a sum of terms c (S W) o e: a coefficient c, a
-    stress operator S and a membrane strain e.  A term's derivative is
-    diag(S W) de/dW + diag(e) S.
-    """
-    h7, h8 = sys.h7, sys.h8
-    h7w, h8w = h7 @ w, h8 @ w
-    # (coefficient, stress operator, membrane strain, the strain's W-derivative)
-    terms = (
-        (sys.beta_x, sys.h5, h7 @ u + 0.5 * h7w**2,
-         lambda: _matmul(h7, du) + row_scale(h7w, h7)),
-        (sys.beta_y, sys.h6, h8 @ v + 0.5 * h8w**2,
-         lambda: _matmul(h8, dv) + row_scale(h8w, h8)),
-        (sys.gamma, sys.h2, h8 @ u + h7 @ v + h7w * h8w,
-         lambda: _matmul(h8, du) + _matmul(h7, dv)
-         + row_scale(h8w, h7) + row_scale(h7w, h8)),
-    )
-    t1, t2, t3 = (c * (s @ w) * e for c, s, e, _ in terms)
-    r = sys.h4 @ w - sys.alpha * (t1 + t2 + t3) - sys.load
-    if du is None:
-        return r, None
-    jac = sys.h4 - sys.alpha * sum(
-        c * (row_scale(s @ w, de()) + row_scale(e, s)) for c, s, e, de in terms
-    )
-    return r, jac
+    def add(g, c, yf, v):  # g[i] += c Y^T diag(v_i), or c diag(v_i) when Y = I
+        v = c * v.reshape(nx, 1, ny)
+        if yf is None:
+            np.einsum("ijj->ij", g)[...] += v[:, 0]
+        else:
+            g += yf.T * v
+
+    for k, v in row_scaled:
+        for c, x, yf in sys.terms[k]:
+            add(d[:, slot[id(x)]], c, yf, v)
+    for k, parts in _DL_PARTS.items():
+        for c, x, yf in sys.terms[k]:
+            for b, j in parts:
+                add(f[:, slot[id(x)], :, b], alpha * c, yf, hw[j])
+
+    # M_I goes straight into J^T.  M_A and M_B take the place of yt, block by
+    # block, as its two halves: one product then applies A_x^T and B_x^T.
+    jt = np.empty((n, n))
+    np.copyto(jt, sys.h4.T)
+    for i, rows in enumerate(lines):
+        z = yt[i].reshape(2 * ny, n)
+        _matmul(f[i, 0].reshape(ny, 2 * ny), z, out=jt[rows], beta=1.0)
+        z[...] = _matmul(f[i, 1:].reshape(2 * ny, 2 * ny), z)
+    np.einsum("ajak->ajk", jt.reshape(nx, ny, nx, ny))[...] += d[:, 0]
+    np.einsum("igjik->igjk", yt.reshape(nx, 2, ny, nx, ny))[...] += d[:, 1:]
+    x_factors = np.stack([ax.T, bx.T], axis=2).reshape(nx, 2 * nx)
+    _matmul(x_factors, yt.reshape(2 * nx, -1), out=jt.reshape(nx, -1), beta=1.0)
+    return jt.T
 
 
 def l_vectors(sys: AssembledSystem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic right-hand sides of the in-plane equations for given W."""
-    rhs, _ = _inplane_forcing(sys, _check_size(sys, w))
+    rhs = _inplane_forcing(_products(sys, _check_size(sys, w)))
     return rhs[: sys.n], rhs[sys.n :]
 
 
@@ -384,30 +564,14 @@ def recover_inplane(
     elimination inverses: equivalent whenever those exist and well defined
     whenever the block system itself is regular.
     """
-    rhs, _ = _inplane_forcing(sys, _check_size(sys, w))
-    sol = lu_solve(sys.inplane_lu, -rhs)
-    return sol[: sys.n], sol[sys.n :]
+    u, v = _inplane_fields(sys, _products(sys, _check_size(sys, w)))
+    return u, v
 
 
 def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     """Transverse equilibrium residual with the in-plane fields eliminated."""
-    w = _check_size(sys, w)
-    u, v = recover_inplane(sys, w)
-    return _transverse(sys, w, u, v)[0]
-
-
-def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
-    """Exact derivative of ``residual`` with respect to W.
-
-    One solve with the in-plane factorization gives (U, V) and their
-    W-sensitivities together, from the 2n x (n + 1) right-hand side [l, dl/dW].
-    """
-    w = _check_size(sys, w)
-    n = sys.n
-    sol = lu_solve(
-        sys.inplane_lu, -np.column_stack(_inplane_forcing(sys, w, derivative=True))
-    )
-    return _transverse(sys, w, sol[:n, 0], sol[n:, 0], sol[:n, 1:], sol[n:, 1:])[1]
+    hw = _products(sys, _check_size(sys, w))
+    return _transverse(sys, hw, _inplane_fields(sys, hw))
 
 
 def linear_solve(sys: AssembledSystem) -> np.ndarray:
@@ -429,10 +593,15 @@ def coupled_residual(
     with its recovered in-plane fields must satisfy all three equations.
     """
     w = _check_size(sys, w)
-    l1, l2 = l_vectors(sys, w)
-    r1 = sys.h1 @ u + sys.h2 @ v + l1
-    r2 = sys.h2 @ u + sys.h3 @ v + l2
-    return r1, r2, _transverse(sys, w, u, v)[0]
+    n = sys.n
+    hw = _products(sys, w)
+    rhs = _inplane_forcing(hw)
+    uv = np.stack([u, v])
+    # H1 [u v], H2 [u v], H3 [u v] in one product over the stacked operators
+    (h1u, h1v), (h2u, h2v), (h3u, h3v) = _matmul(sys.ops[:3].reshape(3 * n, n), uv.T).reshape(3, n, 2).transpose(0, 2, 1)
+    r1 = h1u + h2v + rhs[:n]
+    r2 = h2u + h3v + rhs[n:]
+    return r1, r2, _transverse(sys, hw, uv)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Case-file parsing, CSV artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,4 +349,30 @@ def test_converge_delta_too_large_names_its_path(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["converge", str(path), "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: convergence.delta")
+    assert not list(out.glob("*.csv"))
+
+
+def _comparison_case(kinds):
+    doc = json.loads((Path(__file__).parent.parent / "cases" / "linear_bc_comparison.json").read_text())
+    doc["convergence"].update(grids=[7], kinds=kinds)
+    return doc
+
+
+def test_linear_comparison_uses_the_study_kind(tmp_path):
+    """A Chebyshev plate studied on uniform grids compares on uniform grids."""
+    path = write_case(tmp_path, _comparison_case(["uniform"]))
+    out = tmp_path / "out"
+    assert main(["converge", str(path), "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out / "linear_comparison.csv")
+    centers = {r[0]: float(r[2]) for r in rows}
+    # the uniform 7x7 plate's built-in center; the Chebyshev one is 1.92686344809
+    assert centers["dqcy"] == pytest.approx(1.90479096493, rel=1e-9)
+
+
+def test_linear_comparison_needs_one_kind(tmp_path, capsys):
+    """linear_comparison.csv has no kind column: two kinds exit 2, no CSV."""
+    path = write_case(tmp_path, _comparison_case(["chebyshev", "uniform"]))
+    out = tmp_path / "out"
+    assert main(["converge", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: convergence.linear_comparison")
     assert not list(out.glob("*.csv"))

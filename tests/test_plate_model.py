@@ -1,5 +1,6 @@
 """Derived material constants, assembly, residual and Jacobian algebra."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -263,18 +264,86 @@ def test_jacobian_at_zero_is_bending_operator(table1_ss):
     np.testing.assert_array_equal(jacobian(sys, np.zeros(sys.n)), sys.h4)
 
 
-@pytest.mark.parametrize("case", ["ss", "clamped", "orthotropic"])
+@pytest.mark.parametrize(
+    "case", ["ss", "clamped", "orthotropic", "orthotropic-clamped-9x7", "ss-7x9"]
+)
 def test_jacobian_matches_finite_differences(
     case, table1_ss, table1_clamped, orthotropic_spec, rng
 ):
-    """The rectangular orthotropic plate tells beta_x from beta_y."""
-    spec = {"ss": table1_ss, "clamped": table1_clamped, "orthotropic": orthotropic_spec}[case]
+    """The rectangular orthotropic plate tells beta_x from beta_y, and the
+    grids with nx != ny an x/y mix-up in a 1-D factor."""
+    spec = {
+        "ss": table1_ss,
+        "clamped": table1_clamped,
+        "orthotropic": orthotropic_spec,
+        "orthotropic-clamped-9x7": replace(orthotropic_spec, bc=CLAMPED, nx=9, ny=7),
+        "ss-7x9": replace(table1_ss, nx=7, ny=9),
+    }[case]
     sys = build_system(spec)
     for _ in range(3):
         w = rng.standard_normal(sys.n)
         ja = jacobian(sys, w)
         jf = fd_jacobian(lambda z: residual(sys, z), w)
         assert np.abs(ja - jf).max() <= 1e-6 * np.abs(ja).max()
+
+
+def test_inplane_inverse_formed_once_per_system(table1_clamped, rng, monkeypatch):
+    """Only the analytic Jacobian forms B^-1; with_load copies share it."""
+    formed = []
+    inverse = pm.InplaneBlock.inverse
+
+    def counting(block):
+        if block._inverse is None:
+            formed.append(block)
+        return inverse(block)
+
+    monkeypatch.setattr(pm.InplaneBlock, "inverse", counting)
+    sys = build_system(table1_clamped)
+    w = rng.standard_normal(sys.n)
+    residual(sys, w)
+    fd_jacobian(lambda z: residual(sys, z), w)
+    linear_solve(sys)
+    recover_inplane(sys, w)
+    assert formed == [] and sys.inplane._inverse is None
+    jacobian(sys, w)
+    heavier = with_load(sys, 2.0 * sys.spec.q)
+    jacobian(heavier, w)
+    jacobian(sys, 2.0 * w)
+    assert formed == [sys.inplane]
+    assert heavier.inplane is sys.inplane
+    n = sys.n
+    block = np.block([[sys.h1, sys.h2], [sys.h2, sys.h3]])
+    np.testing.assert_allclose(sys.inplane._inverse @ block, np.eye(2 * n), atol=1e-10)
+
+
+def test_jacobian_allocates_below_five_n_squared(table1_ss, rng):
+    """Once B^-1 exists, one N = 21 Jacobian allocates under 5 n^2 doubles,
+    the returned J included."""
+    sys = build_system(replace(table1_ss, nx=21, ny=21))
+    w = rng.standard_normal(sys.n)
+    jacobian(sys, w)
+    tracemalloc.start()
+    try:
+        jacobian(sys, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * sys.n**2 * 8
+
+
+def test_replaced_operator_restacks(table1_ss, rng):
+    """replace(sys, h4=...) gives a system whose stacked products use the new H4."""
+    sys = build_system(table1_ss)
+    w = rng.standard_normal(sys.n)
+    h4 = 2.0 * sys.h4
+    doubled = replace(sys, h4=h4)
+    np.testing.assert_array_equal(doubled.h4, h4)
+    assert doubled.ops is not sys.ops and doubled.h1 is not sys.h1
+    np.testing.assert_array_equal(doubled.h1, sys.h1)
+    np.testing.assert_allclose(
+        residual(doubled, w) - residual(sys, w), sys.h4 @ w, rtol=1e-9
+    )
+    assert with_load(sys, 2.0).ops is sys.ops
 
 
 def test_jacobian_swap_equivariance(table1_ss, rng):
