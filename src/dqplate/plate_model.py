@@ -14,14 +14,15 @@ with o the elementwise product.  The first two equations are linear in
 eliminates them; Newton then iterates on W alone.
 
 Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
-reduced matrices; ``assemble`` keeps these terms and the dense operators,
-stacked so that one matrix-vector product gives every H_k W.  Each
-nonlinear term is written once: ``_FORCING`` lists the in-plane right-hand
-side's products (A W) o (B W), and ``_transverse_terms`` the three
-transverse terms c (S W) o e.  The residual and the coupled residual
-evaluate them; the Jacobian differentiates them into row-scaled (SJT)
-operator copies and applies every operator through its 1-D factors, using
-the in-plane block's inverse, formed once per system, in place of a solve.
+reduced matrices and is kept only as these terms, every product H_k Z
+going through the 1-D factors (sum factorization); only H4 and the
+in-plane block, which LAPACK factors, are made dense.  Each nonlinear term
+is written once: ``_FORCING`` lists the in-plane right-hand side's products
+(A W) o (B W), and ``_transverse_terms`` the three transverse terms
+c (S W) o e.  The residual and the coupled residual evaluate them; the
+Jacobian differentiates them into row-scaled (SJT) operator copies and
+applies every operator through its 1-D factors, using the in-plane block's
+inverse, formed once per system, in place of a solve.
 Every BLAS and LAPACK call of the Newton iteration goes through scipy.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
@@ -38,7 +39,7 @@ from typing import Any
 
 import numpy as np
 from numpy import kron
-from scipy.linalg import blas, lu_factor, lu_solve, solve
+from scipy.linalg import blas, lapack, lu_factor, solve
 
 from . import bc_builder, dq_core
 from .bc_builder import BC_KINDS, BoundaryOperatorSet
@@ -171,42 +172,52 @@ def load_scale(spec: PlateSpec, mat: DerivedMaterial) -> float:
     return spec.q * spec.a**4 / (mat.d1 * spec.h)
 
 
-def _bending_terms(spec: PlateSpec, mat: DerivedMaterial, x, y) -> tuple:
-    """Kronecker terms of the scaled bending operator (see ``_kron_sum``)."""
+_ID, _D1, _D2, _D4 = range(4)  # factor indices: identity, derivative orders
+
+
+def _factor_stack(mats) -> np.ndarray:
+    """The 1-D factors X of one direction: identity and the ``first``,
+    ``second`` and ``fourth`` matrices of ``mats``.  A Kronecker term (c, ix,
+    iy) is c kron(X[ix], Y[iy]), X on the x index, Y on the y index."""
+    return np.stack([np.eye(len(mats.first)), mats.first, mats.second, mats.fourth])
+
+
+def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
+    """Kronecker terms of the scaled bending operator."""
     rab = spec.a / spec.b
     return (
-        (1.0, x.fourth, None),
-        ((2.0 * mat.d3 / mat.d1) * rab**2, x.second, y.second),
-        ((mat.d2 / mat.d1) * rab**4, None, y.fourth),
+        (1.0, _D4, _ID),
+        ((2.0 * mat.d3 / mat.d1) * rab**2, _D2, _D2),
+        ((mat.d2 / mat.d1) * rab**4, _ID, _D4),
     )
 
 
-def _kron_sum(terms, nx: int, ny: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense sum of c kron(X, Y) over Kronecker terms (c, X, Y), X acting on
-    the x index and Y on the y index of the row-stacked field; None stands
-    for the identity.  Written term by term into ``out`` (zeros if None): a
-    term with an identity factor fills only its O(n N) entries."""
+def _kron_sum(terms, fx: np.ndarray, fy: np.ndarray, out=None) -> np.ndarray:
+    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``.
+    Written term by term into ``out`` (zeros if None), which may be a view
+    such as a block of a larger matrix: a term with an identity factor fills
+    only its O(n N) entries."""
+    nx, ny = fx.shape[1], fy.shape[1]
     out = np.zeros((nx * ny, nx * ny)) if out is None else out
-    o4 = out.reshape(nx, ny, nx, ny)
-    for c, x, y in terms:
-        if y is None:  # c X[a, b] at row (a, j), column (b, j)
-            np.einsum("ajbj->ajb", o4)[...] += c * x[:, None, :]
-        elif x is None:  # c Y[j, k] at row (a, j), column (a, k)
-            np.einsum("ajak->ajk", o4)[...] += c * y
+    o4 = out.reshape(nx, ny, nx, ny, copy=False)
+    for c, ix, iy in terms:
+        if iy == _ID:  # c X[a, b] at row (a, j), column (b, j)
+            np.einsum("ajbj->ajb", o4)[...] += c * fx[ix][:, None, :]
+        elif ix == _ID:  # c Y[j, k] at row (a, j), column (a, k)
+            np.einsum("ajak->ajk", o4)[...] += c * fy[iy]
         else:
-            t = kron(x, y)
-            t *= c
-            out += t
+            out += kron(c * fx[ix], fy[iy])
     return out
 
 
 def bending_operator(spec: PlateSpec, mat: DerivedMaterial, x, y) -> np.ndarray:
-    """Scaled bending operator from per-direction ``second``/``fourth`` matrices.
+    """Scaled bending operator from per-direction derivative matrices.
 
-    ``x`` and ``y`` are the reduced interior operators in assembly and the
-    full-grid weighting matrices in the auxiliary-point comparison.
+    ``x`` and ``y`` are the reduced interior operators in the built-in linear
+    center and the full-grid weighting matrices in the auxiliary-point
+    comparison.
     """
-    return _kron_sum(_bending_terms(spec, mat, x, y), len(x.fourth), len(y.fourth))
+    return _kron_sum(_bending_terms(spec, mat), _factor_stack(x), _factor_stack(y))
 
 
 @dataclass(eq=False)
@@ -224,9 +235,14 @@ class InplaneBlock:
     _inverse: np.ndarray | None = field(default=None, repr=False)
     _lock: Any = field(default_factory=threading.Lock, repr=False)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """B^-1 rhs."""
-        return lu_solve(self.lu, rhs, trans=1)
+    def solve(self, rhs: np.ndarray, trans: int = 1) -> np.ndarray:
+        """B^-1 rhs (B^-T rhs with trans=0), overwriting ``rhs`` where it can.
+        LAPACK getrs without a finite check: a non-finite ``rhs`` gives a
+        non-finite solution, which Newton reports, instead of an error."""
+        x, info = lapack.dgetrs(*self.lu, rhs, trans=trans, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"dgetrs: illegal value in argument {-info}")
+        return x
 
     def inverse(self) -> np.ndarray:
         """B^-1, C-ordered: solving B^T X = I gives X = B^-T in Fortran
@@ -234,40 +250,32 @@ class InplaneBlock:
         with self._lock:
             if self._inverse is None:
                 eye = np.eye(len(self.lu[1]), order="F")
-                self._inverse = lu_solve(self.lu, eye, overwrite_b=True).T
+                self._inverse = self.solve(eye, trans=0).T
             return self._inverse
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Stacked interior operators for one plate case.
+    """The operators of one plate case, each kept once, as Kronecker terms.
 
     ``n`` is the per-field unknown count.  ``terms`` gives each of H1..H8 as
-    its Kronecker terms (see ``_kron_sum``); ``h1``..``h8`` are the dense
-    operators, views of one (8, n, n) array ``ops`` so that one
-    matrix-vector product gives every H_k W.  A system made with ``replace``
-    whose h_k are not those views gets a fresh stack of its own h_k, so the
-    stack and the fields never disagree.  The residual reads the dense
-    operators, the analytic Jacobian the terms of all but H4, so a replaced
-    operator other than H4 needs matching terms.  ``inplane`` holds the LU
-    of the in-plane block, factored once and reused for every in-plane
-    recovery, and the block's inverse, formed the first time an analytic
-    Jacobian needs it.
+    its terms (c, ix, iy) over the 1-D factor stacks ``factors`` = (X, Y)
+    (see ``_factor_stack``).  ``x_mix`` and ``y_all`` lay the same terms out
+    for ``_products``: every Y^T side by side, and per operator and y factor
+    the sum of c X.  ``h4``, H4 written from its terms, serves the linear
+    solve and is the Jacobian's base.  ``inplane`` holds the in-plane block's
+    LU, factored once, and its inverse, formed for the first analytic Jacobian.
     """
 
     spec: PlateSpec
     material: DerivedMaterial
     bcx: BoundaryOperatorSet
     bcy: BoundaryOperatorSet
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
     h4: np.ndarray
-    h5: np.ndarray
-    h6: np.ndarray
-    h7: np.ndarray
-    h8: np.ndarray
+    factors: tuple = field(repr=False)
     terms: tuple = field(repr=False)
+    x_mix: np.ndarray = field(repr=False)
+    y_all: np.ndarray = field(repr=False)
     load: np.ndarray
     n: int
     alpha: float
@@ -275,36 +283,20 @@ class AssembledSystem:
     beta_y: float
     gamma: float
     inplane: InplaneBlock = field(repr=False)
-    ops: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        hs = (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6, self.h7, self.h8)
-        ops = hs[0].base
-        if not (
-            isinstance(ops, np.ndarray)
-            and ops.shape == (8, self.n, self.n)
-            and all(h.base is ops and h.ctypes.data == ops[k].ctypes.data
-                    and h.shape == ops.shape[1:] and h.strides == ops.strides[1:]
-                    for k, h in enumerate(hs))
-        ):
-            ops = np.stack(hs)
-            for k, name in enumerate(("h1", "h2", "h3", "h4", "h5", "h6", "h7", "h8")):
-                object.__setattr__(self, name, ops[k])
-        object.__setattr__(self, "ops", ops)
 
 
 def assemble(
     spec: PlateSpec, bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet
 ) -> AssembledSystem:
-    """Assemble the stacked operators from per-direction reduced matrices.
+    """Assemble the operators' Kronecker terms from per-direction reduced
+    matrices, and the two dense matrices that are factored.
 
     Kronecker products place the x-direction matrices on the row index and
     the y-direction ones on the column index of the row-stacked fields.
     Aspect-ratio powers follow from mapping the plate to the unit square;
     the transverse equation is normalized by the x bending rigidity, so its
-    load is q a^4 / (D1 h).  Each operator is given once, as its Kronecker
-    terms, from which its dense matrix is written; the in-plane inverse is
-    not formed here.
+    load is q a^4 / (D1 h).  H4 and the in-plane block are written from the
+    terms; the in-plane inverse is not formed here.
     """
     if bcx.bc_kind != spec.bc or bcy.bc_kind != spec.bc:
         raise AssemblyError("boundary operator kind does not match the spec")
@@ -317,30 +309,30 @@ def assemble(
     nxi, nyi = bcx.n_interior, bcy.n_interior
     n = nxi * nyi
     a, b, h = spec.a, spec.b, spec.h
-    rab = a / b
-    ax, bx, ay, by = bcx.first, bcx.second, bcy.first, bcy.second
+    rab, ex, ey = a / b, (h / a) ** 2, (h / b) ** 2
     shear = mat.mu * spec.g12
 
     terms = (
-        ((spec.e1, bx, None), (shear * rab**2, None, by)),                   # H1
-        ((mat.c, ax, ay),),                                                  # H2
-        ((spec.e2, None, by), (shear * rab**-2, bx, None)),                  # H3
-        _bending_terms(spec, mat, bcx, bcy),                                 # H4
-        ((spec.e1 * (h / a) ** 2, bx, None),
-         (spec.nu12 * spec.e2 * (h / b) ** 2, None, by)),                    # H5
-        ((spec.e2 * (h / b) ** 2, None, by),
-         (mat.nu21 * spec.e1 * (h / a) ** 2, bx, None)),                     # H6
-        (((h / a) ** 2, ax, None),),                                         # H7
-        (((h / b) ** 2, None, ay),),                                         # H8
+        ((spec.e1, _D2, _ID), (shear * rab**2, _ID, _D2)),                   # H1
+        ((mat.c, _D1, _D1),),                                                # H2
+        ((spec.e2, _ID, _D2), (shear * rab**-2, _D2, _ID)),                  # H3
+        _bending_terms(spec, mat),                                           # H4
+        ((spec.e1 * ex, _D2, _ID), (spec.nu12 * spec.e2 * ey, _ID, _D2)),    # H5
+        ((spec.e2 * ey, _ID, _D2), (mat.nu21 * spec.e1 * ex, _D2, _ID)),     # H6
+        ((ex, _D1, _ID),),                                                   # H7
+        ((ey, _ID, _D1),),                                                   # H8
     )
-    ops = np.zeros((8, n, n))
-    for op, op_terms in zip(ops, terms):
-        _kron_sum(op_terms, nxi, nyi, out=op)
+    fx, fy = _factor_stack(bcx), _factor_stack(bcy)
+    x_mix = np.zeros((8, nxi, len(fy), nxi))
+    for k, op_terms in enumerate(terms):
+        for c, ix, iy in op_terms:
+            x_mix[k, :, iy] += c * fx[ix]
 
     # B^T is the Fortran-ordered view of B, factored in place.
-    block = np.empty((2 * n, 2 * n))
-    block[:n, :n], block[:n, n:], block[n:, :n], block[n:, n:] = ops[0], ops[1], ops[1], ops[2]
-    lu = lu_factor(block.T, overwrite_a=True)
+    block = np.zeros((2, n, 2, n))
+    for k, rows, cols in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)):
+        _kron_sum(terms[k], fx, fy, out=block[rows, :, cols])
+    lu = lu_factor(block.reshape(2 * n, 2 * n).T, overwrite_a=True)
     diag = np.abs(np.diag(lu[0]))
     if diag.min() <= 1e-14 * diag.max():
         raise DecouplingError(
@@ -349,8 +341,12 @@ def assemble(
         )
 
     return AssembledSystem(
-        spec, mat, bcx, bcy, *ops,
+        spec, mat, bcx, bcy,
+        h4=_kron_sum(terms[3], fx, fy),
+        factors=(fx, fy),
         terms=terms,
+        x_mix=x_mix.reshape(8, nxi, -1),
+        y_all=fy.transpose(2, 0, 1).reshape(nyi, -1),
         load=load_scale(spec, mat) * np.ones(n),
         n=n,
         alpha=a**4 / (mat.mu * mat.d1 * h),
@@ -397,16 +393,19 @@ def _matmul(a: np.ndarray, b: np.ndarray, out=None, beta=0.0) -> np.ndarray:
     return blas.dgemm(1.0, b.T, a.T, beta=beta, c=out.T, overwrite_c=True).T
 
 
-def _products(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
-    """Rows H1 W .. H8 W: one matrix-vector product over the stacked operators."""
-    n = sys.n
-    return blas.dgemv(1.0, sys.ops.reshape(8 * n, n).T, w, trans=1).reshape(8, n)
+def _products(sys: AssembledSystem, z: np.ndarray, ops=slice(None)) -> np.ndarray:
+    """H_k z for the operators ``ops`` (all eight by default) on one field z,
+    (n,), or a stack of fields, (m, n): a (k, n) or (k, m, n) array.
 
-
-def row_scale(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """SJT product diag(v) M, row i of M scaled by v_i, at n^2 cost: the dense
-    form of the row scalings that ``jacobian`` folds into 1-D factors."""
-    return np.einsum("i,ij->ij", v, m)
+    Sum factorization: one product applies every y factor to every x-line,
+    one more every operator's x factors with its term coefficients."""
+    nx, ny = sys.bcx.n_interior, sys.bcy.n_interior
+    m = z.size // sys.n
+    zy = _matmul(z.reshape(m * nx, ny), sys.y_all)  # [(field, c), (iy, j)]: Z Y_iy^T
+    zy = zy.reshape(m, nx, -1, ny).transpose(2, 1, 0, 3).reshape(-1, m * ny)
+    x_mix = sys.x_mix[ops]
+    out = _matmul(x_mix.reshape(-1, x_mix.shape[-1]), zy)  # [(k, a), (field, j)]
+    return out.reshape(-1, nx, m, ny).transpose(0, 2, 1, 3).reshape((-1,) + z.shape)
 
 
 # The in-plane right-hand side [l1; l2]: each block a sum of products
@@ -434,8 +433,7 @@ def _inplane_fields(sys: AssembledSystem, hw: np.ndarray) -> np.ndarray:
 def _transverse_terms(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray):
     """The nonlinear transverse terms c (H_k W) o e as (c, k, e): a coefficient,
     the index of the stress operator H_k (H5, H6, H2) and a membrane strain."""
-    n = sys.n
-    h7u, h8u, h7v, h8v = _matmul(sys.ops[6:].reshape(2 * n, n), uv.T).T.reshape(4, n)
+    (h7u, h7v), (h8u, h8v) = _products(sys, uv, slice(6, 8))
     h7w, h8w = hw[6], hw[7]
     return (
         (sys.beta_x, 4, h7u + 0.5 * h7w**2),
@@ -486,16 +484,17 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     # H8 = c8 kron(I, A_y): the H7 products in one product each and their
     # row scalings, then line by line the H8 products, whose row scalings
     # fold into A_y.
-    ((c7, ax, _),), ((c8, _, ay),) = sys.terms[6], sys.terms[7]
+    fx, fy = sys.factors
+    ((c7, i7, _),), ((c8, _, j8),) = sys.terms[6], sys.terms[7]
     b_u, b_v = sys.inplane.inverse().reshape(2, nx, ny, 2 * n)
     y = np.empty((nx, ny, 2 * n))
     t = np.empty((nx, ny, 2 * n))
-    _matmul(c7 * ax, b_u.reshape(nx, -1), out=y.reshape(nx, -1))
-    _matmul(c7 * ax, b_v.reshape(nx, -1), out=t.reshape(nx, -1))
+    _matmul(c7 * fx[i7], b_u.reshape(nx, -1), out=y.reshape(nx, -1))
+    _matmul(c7 * fx[i7], b_v.reshape(nx, -1), out=t.reshape(nx, -1))
     y *= p1.reshape(nx, ny, 1)
     t *= p3.reshape(nx, ny, 1)
     y += t
-    f_u, f_v = ((c8 * p).reshape(nx, ny, 1) * ay for p in (p3, p2))
+    f_u, f_v = ((c8 * p).reshape(nx, ny, 1) * fy[j8] for p in (p3, p2))
     for i in range(nx):
         _matmul(f_u[i], b_u[i], out=y[i], beta=1.0)
         _matmul(f_v[i], b_v[i], out=y[i], beta=1.0)
@@ -504,8 +503,8 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     np.copyto(yt, y.reshape(n, 2, nx, ny).transpose(2, 1, 3, 0))
     del y
 
-    # J^T = H4^T + M_I + kron(A_x^T, I) M_A + kron(B_x^T, I) M_B, one M per
-    # x factor of the operators' terms (I, A_x = bcx.first, B_x = bcx.second).
+    # J^T = H4^T + M_I + kron(D1_x^T, I) M_1 + kron(D2_x^T, I) M_2, one M per
+    # x factor of the operators' terms, at its index (only H4 uses D4).
     # A term c kron(X, Y) of an operator adds to M_X, on each x-line block i,
     # parts with the factor c Y^T diag(v_i) (c diag(v_i) when Y = I):
     #   - J's row-scaled operators diag(v) H add it on the block diagonal;
@@ -514,28 +513,26 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     q7, q8 = p1 * hw[6] + p3 * hw[7], p2 * hw[7] + p3 * hw[6]
     row_scaled = [(k, -alpha * c * e) for c, k, e in terms]
     row_scaled += [(6, -alpha * q7), (7, -alpha * q8)]
-    bx = sys.bcx.second
-    slot = {id(x): g for g, x in enumerate((None, ax, bx))}  # M_I, M_A, M_B
     f = np.zeros((nx, 3, ny, 2, ny))  # per block and M: factors of yt[i, 0], yt[i, 1]
     d = np.zeros((nx, 3, ny, ny))  # per block and M: the block diagonal
 
-    def add(g, c, yf, v):  # g[i] += c Y^T diag(v_i), or c diag(v_i) when Y = I
+    def add(g, c, iy, v):  # g[i] += c Y^T diag(v_i), or c diag(v_i) when Y = I
         v = c * v.reshape(nx, 1, ny)
-        if yf is None:
+        if iy == _ID:
             np.einsum("ijj->ij", g)[...] += v[:, 0]
         else:
-            g += yf.T * v
+            g += fy[iy].T * v
 
     for k, v in row_scaled:
-        for c, x, yf in sys.terms[k]:
-            add(d[:, slot[id(x)]], c, yf, v)
+        for c, ix, iy in sys.terms[k]:
+            add(d[:, ix], c, iy, v)
     for k, parts in _DL_PARTS.items():
-        for c, x, yf in sys.terms[k]:
+        for c, ix, iy in sys.terms[k]:
             for b, j in parts:
-                add(f[:, slot[id(x)], :, b], alpha * c, yf, hw[j])
+                add(f[:, ix, :, b], alpha * c, iy, hw[j])
 
-    # M_I goes straight into J^T.  M_A and M_B take the place of yt, block by
-    # block, as its two halves: one product then applies A_x^T and B_x^T.
+    # M_I goes straight into J^T.  M_1 and M_2 take the place of yt, block by
+    # block, as its two halves: one product then applies D1_x^T and D2_x^T.
     jt = np.empty((n, n))
     np.copyto(jt, sys.h4.T)
     for i, rows in enumerate(lines):
@@ -544,7 +541,7 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
         z[...] = _matmul(f[i, 1:].reshape(2 * ny, 2 * ny), z)
     np.einsum("ajak->ajk", jt.reshape(nx, ny, nx, ny))[...] += d[:, 0]
     np.einsum("igjik->igjk", yt.reshape(nx, 2, ny, nx, ny))[...] += d[:, 1:]
-    x_factors = np.stack([ax.T, bx.T], axis=2).reshape(nx, 2 * nx)
+    x_factors = fx[[_D1, _D2]].transpose(2, 1, 0).reshape(nx, 2 * nx)
     _matmul(x_factors, yt.reshape(2 * nx, -1), out=jt.reshape(nx, -1), beta=1.0)
     return jt.T
 
@@ -597,8 +594,7 @@ def coupled_residual(
     hw = _products(sys, w)
     rhs = _inplane_forcing(hw)
     uv = np.stack([u, v])
-    # H1 [u v], H2 [u v], H3 [u v] in one product over the stacked operators
-    (h1u, h1v), (h2u, h2v), (h3u, h3v) = _matmul(sys.ops[:3].reshape(3 * n, n), uv.T).reshape(3, n, 2).transpose(0, 2, 1)
+    (h1u, h1v), (h2u, h2v), (h3u, h3v) = _products(sys, uv, slice(0, 3))
     r1 = h1u + h2v + rhs[:n]
     r2 = h2u + h3v + rhs[n:]
     return r1, r2, _transverse(sys, hw, uv)

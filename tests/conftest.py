@@ -49,3 +49,25 @@ def max_rel_diff(a, b):
     b = np.asarray(b, dtype=float)
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
     return float(np.abs(a - b).max() / scale)
+
+
+def row_scale(v, m):
+    """SJT product diag(v) M, row i of M scaled by v_i, at n^2 cost: the dense
+    form of the row scalings that plate_model.jacobian folds into 1-D factors."""
+    return np.einsum("i,ij->ij", v, m)
+
+
+def dense_operator(sys, k):
+    """Dense H_k (k = 1..8) of an assembled system, summed with plain np.kron
+    over its Kronecker terms (c, ix, iy); the 1-D factors are taken by name
+    from the boundary operator sets, index 0 being the identity."""
+
+    def factor(ops, i):
+        if i == 0:
+            return np.eye(ops.n_interior)
+        return getattr(ops, ("first", "second", "fourth")[i - 1])
+
+    return sum(
+        c * np.kron(factor(sys.bcx, ix), factor(sys.bcy, iy))
+        for c, ix, iy in sys.terms[k - 1]
+    )

