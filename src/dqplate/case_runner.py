@@ -123,11 +123,14 @@ def _choice(options: dict):
     return check
 
 
-def _list_of(item):
+def _list_of(item, increasing=False):
     def check(value, path):
         if not isinstance(value, list) or not value:
             raise CaseError(f"{path}: expected a non-empty list")
-        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+        items = [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+        if increasing and any(b <= a for a, b in zip(items, items[1:])):
+            raise CaseError(f"{path}: must be strictly increasing")
+        return items
 
     return check
 
@@ -141,6 +144,8 @@ _grid_size = _scalar(
     f"must be in [5, {dq_core.MAX_POINTS}]",
 )
 _boolean = _scalar(bool, "a boolean")
+# A load ladder: load_sweep warm-starts each load from the one before.
+_load_ladder = _list_of(_positive, increasing=True)
 _grid_kind = _choice(_GRID_ALIASES)
 
 _ISOTROPIC = {"e": (_positive, _REQUIRED), "nu": (_poisson, _REQUIRED)}
@@ -200,13 +205,13 @@ def _solver(node, path) -> SolverOptions:
     return SolverOptions(**_read(node, _SOLVER, path))
 
 
-_SWEEP = {"loads": (_list_of(_positive), _REQUIRED)}
+_SWEEP = {"loads": (_load_ladder, _REQUIRED)}
 _BENCH = {"grids": (_list_of(_grid_size), _REQUIRED), "repeats": (_count, 3)}
 _CONVERGENCE = {
     "grids": (_list_of(_grid_size), _REQUIRED),
     "kinds": (_list_of(_grid_kind), [CHEBYSHEV]),
     "reference": ({"n": (_grid_size, _REQUIRED), "kind": (_grid_kind, CHEBYSHEV)}, None),
-    "loads": (_list_of(_positive), None),
+    "loads": (_load_ladder, None),
     "linear_comparison": (_boolean, False),
     "delta": (_positive, 1e-5),
 }

@@ -1,14 +1,14 @@
 """Newton iteration with a pluggable Jacobian strategy, plus plate drivers.
 
 The iteration is plain Newton with an LU solve per step, which factors the
-Jacobian in place; the step never forms an inverse of J.  Only the analytic
-Jacobian uses an explicit inverse, of the constant in-plane block, formed
-once per assembled system: it turns each Jacobian's in-plane sensitivity
-solve into products with 1-D factors (see ``plate_model.jacobian``).  A
-half-step fallback engages only when a full step increases the residual,
-so benchmark timings stay comparable to the undamped method while runaway
-steps are caught.  Convergence is measured on the max-norm of the
-residual, default tolerance 1e-5.
+Jacobian in place; the step never forms an inverse of J.  The constant
+in-plane block's inverse is formed at a system's first in-plane solve: the
+residual applies it as one product, and the analytic Jacobian turns its
+in-plane sensitivity solve into products with 1-D factors (see
+``plate_model.jacobian``).  A half-step fallback engages only when a full
+step increases the residual, so benchmark timings stay comparable to the
+undamped method while runaway steps are caught.  Convergence is measured
+on the max-norm of the residual, default tolerance 1e-5.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ STRATEGIES = (SJT_ANALYTIC, FINITE_DIFFERENCE)
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 25
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6
 MAX_HALVINGS = 6
 
 ResidualFn = Callable[[np.ndarray], np.ndarray]
@@ -140,21 +140,17 @@ def newton(
     return w, report
 
 
-def fd_jacobian(
-    residual_fn: ResidualFn, w: np.ndarray, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def fd_jacobian(residual_fn: ResidualFn, w: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian, column j from perturbing w_j.
 
-    The perturbation is step * max(1, |w_j|), which keeps the stencil
-    well-scaled for both small and large components.
+    The perturbation is FD_STEP * max(1, |w_j|), which keeps the
+    stencil well-scaled for both small and large components.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     w = np.asarray(w, dtype=float)
     n = w.size
     cols = []
     for j in range(n):
-        d = step * max(1.0, abs(w[j]))
+        d = FD_STEP * max(1.0, abs(w[j]))
         wp = w.copy()
         wm = w.copy()
         wp[j] += d

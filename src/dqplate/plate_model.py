@@ -10,8 +10,8 @@ W = w/h, U = u/a, V = v/b, the collocated equations take the operator form
     H4 W = load + nonlinear(W, U, V)
 
 with o the elementwise product.  The first two equations are linear in
-(U, V) for given W, so one LU factorization of the stacked block system
-eliminates them; Newton then iterates on W alone.
+(U, V) for given W, so the inverse of the stacked block system, formed once
+per system, eliminates them; Newton then iterates on W alone.
 
 Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
 reduced matrices and is kept only as these terms, every product H_k Z
@@ -21,8 +21,8 @@ is written once: ``_FORCING`` lists the in-plane right-hand side's products
 (A W) o (B W), and ``_transverse_terms`` the three transverse terms
 c (S W) o e.  The residual and the coupled residual evaluate them; the
 Jacobian differentiates them into row-scaled (SJT) operator copies and
-applies every operator through its 1-D factors, using the in-plane block's
-inverse, formed once per system, in place of a solve.
+applies every operator through its 1-D factors, using the same in-plane
+inverse as the residual.
 Every BLAS and LAPACK call of the Newton iteration goes through scipy.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
@@ -222,27 +222,23 @@ def bending_operator(spec: PlateSpec, mat: DerivedMaterial, x, y) -> np.ndarray:
 
 @dataclass(eq=False)
 class InplaneBlock:
-    """The in-plane block B = [[H1, H2], [H2, H3]] as the LU factors of B^T,
-    and B's inverse once the analytic Jacobian has asked for it.
+    """The in-plane block B = [[H1, H2], [H2, H3]], applied through B^-1.
 
-    B^T is factored because it is the Fortran-ordered view of B assembled in
-    C order, so LAPACK factors it in place.  The inverse is formed from the
-    factors the first time ``inverse`` is called and then kept: copies made
-    by ``with_load`` share this object, so a load sweep forms it once.
+    ``assemble`` hands over the LU factors of B^T: B^T is the Fortran-ordered
+    view of B assembled in C order, so LAPACK factors it in place.  The first
+    in-plane solve forms B^-1 from them and drops them, so every solve is
+    one product with B^-1 and a system holds one copy of B.  Copies made by
+    ``with_load`` share this object, so a load sweep forms B^-1 once.
     """
 
-    lu: tuple
+    lu: tuple | None
     _inverse: np.ndarray | None = field(default=None, repr=False)
     _lock: Any = field(default_factory=threading.Lock, repr=False)
 
-    def solve(self, rhs: np.ndarray, trans: int = 1) -> np.ndarray:
-        """B^-1 rhs (B^-T rhs with trans=0), overwriting ``rhs`` where it can.
-        LAPACK getrs without a finite check: a non-finite ``rhs`` gives a
-        non-finite solution, which Newton reports, instead of an error."""
-        x, info = lapack.dgetrs(*self.lu, rhs, trans=trans, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"dgetrs: illegal value in argument {-info}")
-        return x
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """B^-1 rhs, one BLAS product without a finite check: a non-finite
+        ``rhs`` gives a non-finite solution, which Newton reports."""
+        return blas.dgemv(1.0, self.inverse().T, rhs, trans=1)
 
     def inverse(self) -> np.ndarray:
         """B^-1, C-ordered: solving B^T X = I gives X = B^-T in Fortran
@@ -250,7 +246,10 @@ class InplaneBlock:
         with self._lock:
             if self._inverse is None:
                 eye = np.eye(len(self.lu[1]), order="F")
-                self._inverse = self.solve(eye, trans=0).T
+                x, info = lapack.dgetrs(*self.lu, eye, overwrite_b=True)
+                if info != 0:
+                    raise ValueError(f"dgetrs: illegal value in argument {-info}")
+                self._inverse, self.lu = x.T, None
             return self._inverse
 
 
@@ -264,7 +263,7 @@ class AssembledSystem:
     for ``_products``: every Y^T side by side, and per operator and y factor
     the sum of c X.  ``h4``, H4 written from its terms, serves the linear
     solve and is the Jacobian's base.  ``inplane`` holds the in-plane block's
-    LU, factored once, and its inverse, formed for the first analytic Jacobian.
+    LU, factored once, until its first solve turns it into B^-1.
     """
 
     spec: PlateSpec
@@ -369,8 +368,8 @@ def build_system(spec: PlateSpec) -> AssembledSystem:
 def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
     """Copy of an assembled system under a different pressure.
 
-    Only the load vector depends on q, so load sweeps reuse the operators,
-    the in-plane factorization and, once formed, the in-plane inverse.
+    Only the load vector depends on q, so load sweeps reuse the operators
+    and the in-plane block, whose inverse is formed once for all loads.
     """
     spec = replace(sys.spec, q=q)
     return replace(sys, spec=spec, load=load_scale(spec, sys.material) * np.ones(sys.n))
@@ -426,7 +425,7 @@ def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
 
 
 def _inplane_fields(sys: AssembledSystem, hw: np.ndarray) -> np.ndarray:
-    """Rows U, V solving B [U; V] = -[l1; l2], by the in-plane LU."""
+    """Rows U, V solving B [U; V] = -[l1; l2], as one product with B^-1."""
     return sys.inplane.solve(-_inplane_forcing(hw)).reshape(2, sys.n)
 
 
@@ -557,9 +556,9 @@ def recover_inplane(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the linear block system for (U, V) at given W.
 
-    Direct factorization of [[H1, H2], [H2, H3]] instead of the explicit
-    elimination inverses: equivalent whenever those exist and well defined
-    whenever the block system itself is regular.
+    The inverse of the whole block [[H1, H2], [H2, H3]] instead of the
+    paper's elimination inverses of its blocks: equivalent whenever those
+    exist and well defined whenever the block system itself is regular.
     """
     u, v = _inplane_fields(sys, _products(sys, _check_size(sys, w)))
     return u, v

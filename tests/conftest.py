@@ -43,14 +43,6 @@ def orthotropic_spec():
     )
 
 
-def max_rel_diff(a, b):
-    """Max-entry difference relative to the larger matrix scale."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
-    return float(np.abs(a - b).max() / scale)
-
-
 def row_scale(v, m):
     """SJT product diag(v) M, row i of M scaled by v_i, at n^2 cost: the dense
     form of the row scalings that plate_model.jacobian folds into 1-D factors."""

@@ -129,7 +129,7 @@ def solve_dimensional(spec: PlateSpec, tol_w: float = 1e-11, max_iter: int = 40)
     z0 = np.zeros(3 * n)
     z, report = newton(
         scaled_residual,
-        lambda z: fd_jacobian(scaled_residual, z, 1e-7),
+        lambda z: fd_jacobian(scaled_residual, z),
         z0,
         tol=tol_w,
         max_iter=max_iter,

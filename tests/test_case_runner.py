@@ -125,10 +125,16 @@ def with_material(material):
         ),
         (with_block(solver={"max_iter": 0}), "solver.max_iter"),
         (with_block(sweep={"loads": [float("inf")]}), "sweep.loads[0]"),
+        (with_block(sweep={"loads": [1.0, 0.5]}), "sweep.loads"),
+        (
+            with_block(convergence={"grids": [7], "loads": [0.4, 0.4]}),
+            "convergence.loads",
+        ),
     ],
     ids=["empty-loads", "zero-repeats", "non-boolean", "reference-without-n",
          "bad-jacobian", "mixed-material", "poisson-minus-one", "grid-too-small",
-         "unhashable-kind", "zero-max-iter", "infinite-load"],
+         "unhashable-kind", "zero-max-iter", "infinite-load", "decreasing-sweep-loads",
+         "repeated-convergence-loads"],
 )
 def test_invalid_field_names_its_path(tmp_path, doc, path):
     with pytest.raises(CaseError) as err:

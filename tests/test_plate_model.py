@@ -14,6 +14,7 @@ from dqplate.dq_core import CHEBYSHEV, UNIFORM
 from dqplate.newton_solver import fd_jacobian, solve_plate
 from dqplate.plate_model import (
     AssemblyError,
+    DecouplingError,
     MaterialError,
     PlateSpec,
     assemble,
@@ -185,6 +186,23 @@ def test_system_holds_under_six_n_squared(table1_ss):
     assert _array_bytes(sys, set()) < 6 * sys.n**2 * 8
 
 
+def test_solved_system_holds_under_six_n_squared(table1_ss):
+    """After a solve the 13 x 13 system holds B^-1 (4 n^2) in place of the
+    in-plane LU, not both."""
+    sys = solve_plate(replace(table1_ss, nx=13, ny=13)).system
+    assert _array_bytes(sys, set()) < 6 * sys.n**2 * 8
+
+
+def test_singular_inplane_block_raises_decoupling_error(table1_ss):
+    """Zero second-derivative factors leave B = [[0, H2], [H2, 0]], singular
+    because H2 = c kron(D1, D1) is: the reduced 7-point simply supported D1
+    has odd order and is centro-antisymmetric."""
+    ops = bc_builder.build_ss(dq_core.diff_matrices(dq_core.make_grid(7, CHEBYSHEV)))
+    ops = replace(ops, second=np.zeros_like(ops.second))
+    with pytest.raises(DecouplingError, match="pivot ratio"):
+        assemble(replace(table1_ss, nx=7, ny=7), ops, ops)
+
+
 def test_assemble_rejects_mismatched_operators(table1_ss):
     dm = dq_core.diff_matrices(dq_core.make_grid(7, CHEBYSHEV))
     wrong_kind = bc_builder.build_clamped(dm)
@@ -344,7 +362,8 @@ def test_jacobian_matches_finite_differences(
 
 
 def test_inplane_inverse_formed_once_per_system(table1_clamped, rng, monkeypatch):
-    """Only the analytic Jacobian forms B^-1; with_load copies share it."""
+    """The first in-plane solve forms B^-1 and drops the LU; later solves,
+    Jacobians and with_load copies reuse it."""
     formed = []
     inverse = pm.InplaneBlock.inverse
 
@@ -356,17 +375,19 @@ def test_inplane_inverse_formed_once_per_system(table1_clamped, rng, monkeypatch
     monkeypatch.setattr(pm.InplaneBlock, "inverse", counting)
     sys = build_system(table1_clamped)
     w = rng.standard_normal(sys.n)
-    residual(sys, w)
-    fd_jacobian(lambda z: residual(sys, z), w)
     linear_solve(sys)
-    recover_inplane(sys, w)
     assert formed == [] and sys.inplane._inverse is None
+    residual(sys, w)
+    assert formed == [sys.inplane] and sys.inplane.lu is None
+    residual(sys, 2.0 * w)
+    fd_jacobian(lambda z: residual(sys, z), w)
+    recover_inplane(sys, w)
     jacobian(sys, w)
     heavier = with_load(sys, 2.0 * sys.spec.q)
+    residual(heavier, w)
     jacobian(heavier, w)
-    jacobian(sys, 2.0 * w)
     assert formed == [sys.inplane]
-    assert heavier.inplane is sys.inplane
+    assert heavier.inplane is sys.inplane and sys.inplane.lu is None
     n = sys.n
     h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
     block = np.block([[h1, h2], [h2, h3]])
