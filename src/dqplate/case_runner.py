@@ -153,7 +153,7 @@ _ORTHOTROPIC = {
     "e1": (_positive, _REQUIRED),
     "e2": (_positive, _REQUIRED),
     "g12": (_positive, _REQUIRED),
-    "nu12": (_number, _REQUIRED),
+    "nu12": (_poisson, _REQUIRED),
 }
 
 
@@ -187,11 +187,15 @@ def _plate(node, path) -> PlateSpec:
         fields["b"] = fields["a"]
     make = PlateSpec.isotropic if "e" in material else PlateSpec
     try:
-        return make(
+        spec = make(
             nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields
         )
+        plate_model.derive_material(spec)  # reciprocity: 1 - nu12 nu21 > 0
+    except plate_model.MaterialError as exc:
+        raise CaseError(f"{path}.material: {exc}") from exc
     except ValueError as exc:
         raise CaseError(f"{path}: {exc}") from exc
+    return spec
 
 
 _SOLVER = {

@@ -13,14 +13,14 @@ as the error reference in boundary-treatment comparison runs.  The module
 also holds the whole linear comparison: the linear-limit center with the
 built-in boundary reductions (H4 W = load on the reduced operators) and
 with the auxiliary-point (delta) row replacement on the full moved grid.
-Both end in one row-equilibrated solve.
+Both end in ``plate_model.solve_bending``, the row-equilibrated solve that
+also gives the Newton start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy import kron
-from scipy.linalg import solve
 
 from . import bc_builder, dq_core, plate_model
 from .bc_builder import CLAMPED, SIMPLY_SUPPORTED
@@ -78,44 +78,23 @@ def series_coefficient(bc_kind: str, aspect: float = 1.0) -> float:
     raise ValueError(f"no classical reference for bc kind {bc_kind!r}")
 
 
-def _require_isotropic(spec: PlateSpec) -> None:
-    # the series references assume one bending rigidity: d1 = d2 = d3
-    mat = plate_model.derive_material(spec)
-    if abs(mat.d2 - mat.d1) > 1e-9 * mat.d1 or abs(mat.d3 - mat.d1) > 1e-9 * mat.d1:
-        raise ValueError("linear comparison references require an isotropic spec")
-
-
 def linear_reference_center(spec: PlateSpec) -> float:
     """Series-based center w/h in the linear limit of an isotropic spec."""
-    _require_isotropic(spec)
-    scale = plate_model.load_scale(spec, plate_model.derive_material(spec))
-    return series_coefficient(spec.bc, spec.a / spec.b) * scale
-
-
-def _solve_center(op, rhs, rx, ry, xn, yn) -> float:
-    """Center w/h of op W = rhs mapped to the full grid by rx W ry^T.  Rows are
-    scaled to unit max-norm first: the solution stays, the auxiliary-point
-    system's rcond rises from about 1e-19 to 1e-9.  See ``plate_model._matmul``."""
-    scale = np.abs(op).max(axis=1)
-    w = solve(op / scale[:, None], rhs.ravel() / scale)
-    full = rx @ w.reshape(rx.shape[1], ry.shape[1]) @ ry.T
-    return plate_model._interp_center(full, xn, yn)
-
-
-def _grids(spec: PlateSpec):
-    return (dq_core.make_grid(n, spec.grid_kind) for n in (spec.nx, spec.ny))
+    mat = plate_model.derive_material(spec)
+    # the series references assume one bending rigidity: d1 = d2 = d3
+    if abs(mat.d2 - mat.d1) > 1e-9 * mat.d1 or abs(mat.d3 - mat.d1) > 1e-9 * mat.d1:
+        raise ValueError("linear comparison references require an isotropic spec")
+    return series_coefficient(spec.bc, spec.a / spec.b) * plate_model.load_scale(spec, mat)
 
 
 def linear_center_builtin(spec: PlateSpec) -> float:
     """Linear-limit center w/h from H4 W = load on the reduced operators."""
     mat = plate_model.derive_material(spec)
-    x, y = (
-        bc_builder.build_operators(dq_core.diff_matrices(g), spec.bc)
-        for g in _grids(spec)
-    )
+    x, y = plate_model.reduced_operators(spec)
     op = plate_model.bending_operator(spec, mat, x, y)
-    rhs = np.full(len(op), plate_model.load_scale(spec, mat))
-    return _solve_center(op, rhs, x.recovery, y.recovery, x.grid.nodes, y.grid.nodes)
+    w = plate_model.solve_bending(op, np.full(len(op), plate_model.load_scale(spec, mat)))
+    full = plate_model.full_grid(x, y, w)
+    return plate_model._interp_center(full, x.grid.nodes, y.grid.nodes)
 
 
 def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
@@ -125,7 +104,8 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     of the auxiliary y-lines."""
     mat = plate_model.derive_material(spec)
     nx, ny = spec.nx, spec.ny
-    gx, gy = (bc_builder.delta_grid(g, delta) for g in _grids(spec))
+    kind = spec.grid_kind
+    gx, gy = (bc_builder.delta_grid(dq_core.make_grid(m, kind), delta) for m in (nx, ny))
     dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
     op = plate_model.bending_operator(spec, mat, dmx, dmy)
     order = "first" if spec.bc == CLAMPED else "second"
@@ -140,4 +120,6 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     rows[2:-2, aux] = on_y[2:-2, aux]
     rhs = np.zeros((nx, ny))
     rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
-    return _solve_center(op, rhs, np.eye(nx), np.eye(ny), gx.nodes, gy.nodes)
+    # the unknowns are the values at every node of the moved grid
+    w = plate_model.solve_bending(op, rhs.ravel())
+    return plate_model._interp_center(w.reshape(nx, ny), gx.nodes, gy.nodes)

@@ -356,13 +356,15 @@ def assemble(
     )
 
 
+def reduced_operators(spec: PlateSpec) -> tuple[BoundaryOperatorSet, BoundaryOperatorSet]:
+    """Grid, weighting matrices and boundary reduction of x, then of y."""
+    grids = (dq_core.make_grid(npts, spec.grid_kind) for npts in (spec.nx, spec.ny))
+    return tuple(bc_builder.build_operators(dq_core.diff_matrices(g), spec.bc) for g in grids)
+
+
 def build_system(spec: PlateSpec) -> AssembledSystem:
     """Grids, weighting matrices, boundary reduction, assembly in one call."""
-    gx = dq_core.make_grid(spec.nx, spec.grid_kind)
-    gy = dq_core.make_grid(spec.ny, spec.grid_kind)
-    bcx = bc_builder.build_operators(dq_core.diff_matrices(gx), spec.bc)
-    bcy = bc_builder.build_operators(dq_core.diff_matrices(gy), spec.bc)
-    return assemble(spec, bcx, bcy)
+    return assemble(spec, *reduced_operators(spec))
 
 
 def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
@@ -570,14 +572,21 @@ def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return _transverse(sys, hw, _inplane_fields(sys, hw))
 
 
-def linear_solve(sys: AssembledSystem) -> np.ndarray:
-    """Small-deflection limit H4 W = load; the Newton starting point."""
+def solve_bending(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """op W = rhs with each row scaled to unit max-norm first, which lifts the
+    auxiliary-point system's rcond from about 1e-19 to 1e-9.  The scaled copy
+    is Fortran-ordered, so LAPACK factors it in place: op is copied once."""
+    scale = np.abs(op).max(axis=1)
+    scale[scale == 0] = 1.0  # a zero row stays zero, and the LU reports it singular
     try:
-        return solve(sys.h4, sys.load)
+        return solve(np.divide(op, scale[:, None], order="F"), rhs / scale, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
-        raise AssemblyError(
-            "singular bending operator; boundary reduction is inconsistent"
-        ) from exc
+        raise AssemblyError("singular bending operator") from exc
+
+
+def linear_solve(sys: AssembledSystem) -> np.ndarray:
+    """Small-deflection limit H4 W = load, the Newton start, by ``solve_bending``."""
+    return solve_bending(sys.h4, sys.load)
 
 
 def coupled_residual(
@@ -640,6 +649,12 @@ def _interp_center(values: np.ndarray, xn: np.ndarray, yn: np.ndarray) -> float:
     )
 
 
+def full_grid(bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet, f) -> np.ndarray:
+    """Stacked interior field f on the full grid, boundary conditions built
+    back in: R_x F R_y^T with F the (x, y) array of f and R the recovery maps."""
+    return bcx.recovery @ f.reshape(bcx.n_interior, bcy.n_interior) @ bcy.recovery.T
+
+
 def recover_fields(
     sys: AssembledSystem,
     w: np.ndarray,
@@ -648,9 +663,7 @@ def recover_fields(
 ) -> SolutionField:
     """Map stacked interior unknowns to physical full-grid fields."""
     w = _check_size(sys, w)
-    rx, ry = sys.bcx.recovery, sys.bcy.recovery
-    shape = (sys.bcx.n_interior, sys.bcy.n_interior)
-    w_full, u_full, v_full = (rx @ f.reshape(shape) @ ry.T for f in (w, u, v))
+    w_full, u_full, v_full = (full_grid(sys.bcx, sys.bcy, f) for f in (w, u, v))
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
     spec = sys.spec
     return SolutionField(

@@ -164,6 +164,20 @@ def test_build_operators_dispatch():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [12, 13, 31])
+@pytest.mark.parametrize("kind", [CHEBYSHEV, UNIFORM])
+@pytest.mark.parametrize("bc", [SIMPLY_SUPPORTED, CLAMPED])
+def test_reduced_factors_mirror_parity(bc, kind, n):
+    """Both grids are symmetric about 1/2, so with R the node reversal every
+    reduced factor satisfies R X R = (-1)^order X and the recovery map is
+    even.  A parity fold onto half the nodes rests on this."""
+    ops = build_operators(diff_matrices(make_grid(n, kind)), bc)
+    tol = 1e-12 if kind == CHEBYSHEV else 1e-9  # worst N = 31: 7.3e-14, 2.0e-10
+    for x, order in ((ops.first, 1), (ops.second, 2), (ops.fourth, 4), (ops.recovery, 0)):
+        mirrored = x[::-1, ::-1] - (-1) ** order * x
+        assert np.abs(mirrored).max() <= tol * np.abs(x).max()
+
+
 def test_delta_plan_moves_near_boundary_nodes():
     g = make_grid(11, UNIFORM)
     moved = delta_grid(g, 1e-5)

@@ -130,11 +130,19 @@ def with_material(material):
             with_block(convergence={"grids": [7], "loads": [0.4, 0.4]}),
             "convergence.loads",
         ),
+        (
+            with_material({"e1": 1e6, "e2": 2e6, "nu12": 0.9, "g12": 4e5}),
+            "plate.material: 1 - nu12*nu21",
+        ),
+        (
+            with_material({"e1": 1e6, "e2": 1e6, "nu12": 1.5, "g12": 4e5}),
+            "plate.material.nu12",
+        ),
     ],
     ids=["empty-loads", "zero-repeats", "non-boolean", "reference-without-n",
          "bad-jacobian", "mixed-material", "poisson-minus-one", "grid-too-small",
          "unhashable-kind", "zero-max-iter", "infinite-load", "decreasing-sweep-loads",
-         "repeated-convergence-loads"],
+         "repeated-convergence-loads", "non-reciprocal-orthotropic", "nu12-above-one"],
 )
 def test_invalid_field_names_its_path(tmp_path, doc, path):
     with pytest.raises(CaseError) as err:
@@ -280,6 +288,50 @@ def test_sweep_requires_block(tmp_path):
     assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("mode, block", [("bench", "bench"), ("converge", "convergence")])
+def test_bench_and_converge_require_their_block(tmp_path, capsys, mode, block):
+    path = write_case(tmp_path, SS_CASE)
+    assert main([mode, str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: case has no '{block}' block\n"
+
+
+def test_failed_sweep_writes_marker_row(tmp_path, capsys):
+    """A load the iteration budget cannot reach ends the sweep: exit 3, the
+    converged loads, then a marker row with a NaN center."""
+    path = write_case(tmp_path, with_block(sweep={"loads": [0.01, 0.02, 40.0]}))
+    out = tmp_path / "out"
+    code = main(["sweep", str(path), "--out", str(out), "--max-iter", "3"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "sweep stopped at q = 40" in capsys.readouterr().err
+    _, rows = read_csv(out / "sweep.csv")
+    assert [(r[0], r[3]) for r in rows] == [("0.01", "true"), ("0.02", "true"),
+                                            ("40", "false")]
+    assert rows[-1][1] == "nan" and rows[-1][2] == "3"
+
+
+@pytest.mark.parametrize(
+    "convergence, override, message",
+    [
+        ({"grids": [5]}, ["--max-iter", "1"], "grid chebyshev_mapped 5 did not converge"),
+        # N = 5 reaches 1e-11 (its rounding floor is near 3e-13), N = 21 cannot
+        # (about 1e-9)
+        (
+            {"grids": [5], "reference": {"n": 21}},
+            ["--tol", "1e-11"],
+            "reference grid did not converge",
+        ),
+    ],
+    ids=["study-grid", "reference-grid"],
+)
+def test_failed_grid_study_writes_nothing(tmp_path, capsys, convergence, override, message):
+    path = write_case(tmp_path, with_block(convergence=convergence))
+    out = tmp_path / "out"
+    code = main(["converge", str(path), "--out", str(out), *override])
+    assert code == EXIT_NO_CONVERGENCE
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_bench_mode_row_count(tmp_path):
     doc = json.loads(json.dumps(SS_CASE))
     doc["bench"] = {"grids": [7, 9], "repeats": 1}
@@ -373,6 +425,17 @@ def test_linear_comparison_uses_the_study_kind(tmp_path):
     centers = {r[0]: float(r[2]) for r in rows}
     # the uniform 7x7 plate's built-in center; the Chebyshev one is 1.92686344809
     assert centers["dqcy"] == pytest.approx(1.90479096493, rel=1e-9)
+
+
+def test_linear_comparison_rejects_orthotropic_plate(tmp_path, capsys):
+    """The series references need one bending rigidity: exit 2, no CSV."""
+    doc = _comparison_case(["chebyshev"])
+    doc["plate"]["material"] = {"e1": 18.7e6, "e2": 1.3e6, "nu12": 0.3, "g12": 0.6e6}
+    path = write_case(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["converge", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: convergence.linear_comparison")
+    assert not list(out.glob("*.csv"))
 
 
 def test_linear_comparison_needs_one_kind(tmp_path, capsys):

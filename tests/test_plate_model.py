@@ -501,6 +501,22 @@ def test_uniform_load_solution_symmetric(table1_ss):
     assert np.abs(fld.w - fld.w[:, ::-1]).max() <= tol
 
 
+@pytest.mark.parametrize("grid", [(13, 11), (12, 13)], ids=["13x11", "12x13"])
+@pytest.mark.parametrize("kind", [CHEBYSHEV, UNIFORM])
+@pytest.mark.parametrize("bc", [SIMPLY_SUPPORTED, CLAMPED])
+def test_solved_fields_mirror_parity(bc, kind, grid, orthotropic_spec):
+    """Uniform load, one support kind on all edges, axis-aligned orthotropy:
+    W is even in x and y, U odd in x and even in y, V even in x and odd in y,
+    on odd and even grids alike."""
+    nx, ny = grid
+    fld = solve_plate(replace(orthotropic_spec, bc=bc, nx=nx, ny=ny, grid_kind=kind)).field
+    rel = 1e-12 if kind == CHEBYSHEV else 1e-10  # worst measured: 6.7e-14, 1.1e-11
+    for f, sx, sy in ((fld.w, 1, 1), (fld.u, -1, 1), (fld.v, 1, -1)):
+        tol = rel * np.abs(f).max()
+        assert np.abs(f[::-1, :] - sx * f).max() <= tol
+        assert np.abs(f[:, ::-1] - sy * f).max() <= tol
+
+
 # ---------------------------------------------------------------------------
 # cross-route equivalences
 # ---------------------------------------------------------------------------
