@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 from time import perf_counter
 
@@ -180,11 +181,22 @@ _PLATE = {
 }
 
 
+def _uniform_size(npts: int, path: str) -> None:
+    """A uniform grid's size: at most dq_core.MAX_UNIFORM_POINTS points."""
+    if npts > dq_core.MAX_UNIFORM_POINTS:
+        raise CaseError(
+            f"{path}: must be at most {dq_core.MAX_UNIFORM_POINTS} on a uniform grid"
+        )
+
+
 def _plate(node, path) -> PlateSpec:
     fields = _read(node, _PLATE, path)
     grid, material = fields.pop("grid"), fields.pop("material")
     if fields["b"] is None:
         fields["b"] = fields["a"]
+    if grid["kind"] == UNIFORM:
+        for key in ("nx", "ny"):
+            _uniform_size(grid[key], f"{path}.grid.{key}")
     make = PlateSpec.isotropic if "e" in material else PlateSpec
     try:
         spec = make(
@@ -249,6 +261,14 @@ def parse_case(path: str | Path) -> Case:
     bench = doc["bench"] or _absent(_BENCH)
     conv = doc["convergence"] or _absent(_CONVERGENCE)
     ref = conv["reference"]
+    if doc["plate"].grid_kind == UNIFORM:
+        for i, npts in enumerate(bench["grids"] or []):
+            _uniform_size(npts, f"bench.grids[{i}]")
+    if UNIFORM in conv["kinds"]:
+        for i, npts in enumerate(conv["grids"] or []):
+            _uniform_size(npts, f"convergence.grids[{i}]")
+    if ref is not None and ref["kind"] == UNIFORM:
+        _uniform_size(ref["n"], "convergence.reference.n")
     return Case(
         spec=doc["plate"],
         solver=doc["solver"],
@@ -464,14 +484,6 @@ def run_convergence(case: Case, out_dir: Path) -> int:
                      abs(center - reference_center)]
                 )
 
-    tasks = [(kind, npts) for kind in case.conv_kinds for npts in case.conv_grids]
-    results = [
-        _converge_point(
-            replace(case.spec, nx=npts, ny=npts, grid_kind=kind), case.solver, loads
-        )
-        for kind, npts in tasks
-    ]
-
     reference = None
     if case.conv_reference is not None:
         ref_n, ref_kind = case.conv_reference
@@ -485,8 +497,9 @@ def run_convergence(case: Case, out_dir: Path) -> int:
     if reference is not None:
         header.append("abs_diff_to_reference")
     rows = []
-    for task, res in zip(tasks, results):
-        kind, npts = task
+    for kind, npts in product(case.conv_kinds, case.conv_grids):
+        spec = replace(case.spec, nx=npts, ny=npts, grid_kind=kind)
+        res = _converge_point(spec, case.solver, loads)
         if res is None:
             print(f"grid {kind} {npts} did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE

@@ -43,7 +43,7 @@ from scipy.linalg import blas, lapack, lu_factor, solve
 
 from . import bc_builder, dq_core
 from .bc_builder import BC_KINDS, BoundaryOperatorSet
-from .dq_core import CHEBYSHEV, GRID_KINDS
+from .dq_core import CHEBYSHEV, GRID_KINDS, UNIFORM
 
 
 class MaterialError(ValueError):
@@ -85,6 +85,9 @@ class PlateSpec:
     grid_kind: str = CHEBYSHEV
 
     def __post_init__(self):
+        for name in ("a", "b", "h", "e1", "e2", "g12", "q"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("a", "b", "h", "e1", "e2", "g12"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -95,11 +98,12 @@ class PlateSpec:
             raise ValueError(
                 f"unknown grid kind {self.grid_kind!r}; expected one of {GRID_KINDS}"
             )
+        top = dq_core.MAX_UNIFORM_POINTS if self.grid_kind == UNIFORM else dq_core.MAX_POINTS
         for name in ("nx", "ny"):
             npts = getattr(self, name)
-            if not 5 <= npts <= dq_core.MAX_POINTS:
+            if not 5 <= npts <= top:
                 raise ValueError(
-                    f"{name} must be in [5, {dq_core.MAX_POINTS}], got {npts}"
+                    f"{name} must be in [5, {top}] on a {self.grid_kind} grid, got {npts}"
                 )
 
     @classmethod
@@ -226,9 +230,10 @@ class InplaneBlock:
 
     ``assemble`` hands over the LU factors of B^T: B^T is the Fortran-ordered
     view of B assembled in C order, so LAPACK factors it in place.  The first
-    in-plane solve forms B^-1 from them and drops them, so every solve is
-    one product with B^-1 and a system holds one copy of B.  Copies made by
-    ``with_load`` share this object, so a load sweep forms B^-1 once.
+    in-plane solve inverts the factors in their own buffer and drops them, so
+    one (2n)^2 array holds B, then its LU, then B^-1, and every solve is one
+    product with B^-1.  Copies made by ``with_load`` share this object, so a
+    load sweep forms B^-1 once.
     """
 
     lu: tuple | None
@@ -241,14 +246,14 @@ class InplaneBlock:
         return blas.dgemv(1.0, self.inverse().T, rhs, trans=1)
 
     def inverse(self) -> np.ndarray:
-        """B^-1, C-ordered: solving B^T X = I gives X = B^-T in Fortran
-        order, whose transpose is B^-1 in C order."""
+        """B^-1, C-ordered: inverting the LU of B^T in place leaves B^-T in
+        Fortran order, whose transpose is B^-1 in C order."""
         with self._lock:
             if self._inverse is None:
-                eye = np.eye(len(self.lu[1]), order="F")
-                x, info = lapack.dgetrs(*self.lu, eye, overwrite_b=True)
+                lwork, _ = lapack.dgetri_lwork(len(self.lu[1]))
+                x, info = lapack.dgetri(*self.lu, lwork=int(lwork), overwrite_lu=True)
                 if info != 0:
-                    raise ValueError(f"dgetrs: illegal value in argument {-info}")
+                    raise ValueError(f"dgetri: info {info}")
                 self._inverse, self.lu = x.T, None
             return self._inverse
 
@@ -263,7 +268,7 @@ class AssembledSystem:
     for ``_products``: every Y^T side by side, and per operator and y factor
     the sum of c X.  ``h4``, H4 written from its terms, serves the linear
     solve and is the Jacobian's base.  ``inplane`` holds the in-plane block's
-    LU, factored once, until its first solve turns it into B^-1.
+    LU, factored once, until its first solve turns it into B^-1 in place.
     """
 
     spec: PlateSpec

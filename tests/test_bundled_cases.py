@@ -6,13 +6,17 @@ a change to the solver that moves any of them shows here.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from dqplate.case_runner import EXIT_OK, main
 
-CASES = sorted((Path(__file__).resolve().parent.parent / "cases").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CASES = sorted((ROOT / "cases").glob("*.json"))
 
 SOLUTION = ["x", "y", "w", "u", "v"]
 SUMMARY = ["center_w_over_h", "iterations", "final_residual", "wall_time_s"]
@@ -115,3 +119,18 @@ def test_bundled_case_runs(path, tmp_path):
             assert got == pytest.approx(pins["center_w_over_h"], rel=1e-9, abs=0)
         if "iterations" in pins:
             assert [int(r["iterations"]) for r in rows] == pins["iterations"]
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m dqplate`` runs the same CLI and exits with its code."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    case = ROOT / "cases" / "table1_simply_supported.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "dqplate", "solve", str(case), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    pin = PINNED["table1_simply_supported"]["summary.csv"]["center_w_over_h"]
+    assert [float(row["center_w_over_h"])] == pytest.approx(pin, rel=1e-9, abs=0)

@@ -93,6 +93,12 @@ def with_block(**blocks):
     return doc
 
 
+def with_grid(**grid):
+    doc = json.loads(json.dumps(SS_CASE))
+    doc["plate"]["grid"].update(grid)
+    return doc
+
+
 def with_material(material):
     doc = json.loads(json.dumps(SS_CASE))
     doc["plate"]["material"] = material
@@ -138,11 +144,27 @@ def with_material(material):
             with_material({"e1": 1e6, "e2": 1e6, "nu12": 1.5, "g12": 4e5}),
             "plate.material.nu12",
         ),
+        (with_grid(nx=23, ny=7, kind="uniform"), "plate.grid.nx"),
+        (with_grid(nx=7, ny=23, kind="uniform"), "plate.grid.ny"),
+        (
+            {**with_grid(kind="uniform"), "bench": {"grids": [9, 23]}},
+            "bench.grids[1]",
+        ),
+        (
+            with_block(convergence={"grids": [5, 25], "kinds": ["chebyshev", "uniform"]}),
+            "convergence.grids[1]",
+        ),
+        (
+            with_block(convergence={"grids": [7], "reference": {"n": 31, "kind": "uniform"}}),
+            "convergence.reference.n",
+        ),
     ],
     ids=["empty-loads", "zero-repeats", "non-boolean", "reference-without-n",
          "bad-jacobian", "mixed-material", "poisson-minus-one", "grid-too-small",
          "unhashable-kind", "zero-max-iter", "infinite-load", "decreasing-sweep-loads",
-         "repeated-convergence-loads", "non-reciprocal-orthotropic", "nu12-above-one"],
+         "repeated-convergence-loads", "non-reciprocal-orthotropic", "nu12-above-one",
+         "uniform-nx", "uniform-ny", "uniform-bench-grid", "uniform-study-grid",
+         "uniform-reference"],
 )
 def test_invalid_field_names_its_path(tmp_path, doc, path):
     with pytest.raises(CaseError) as err:
@@ -320,8 +342,13 @@ def test_failed_sweep_writes_marker_row(tmp_path, capsys):
             ["--tol", "1e-11"],
             "reference grid did not converge",
         ),
+        (
+            {"grids": [5], "loads": [0.4, 0.8]},
+            ["--max-iter", "1"],
+            "grid chebyshev_mapped 5 did not converge",
+        ),
     ],
-    ids=["study-grid", "reference-grid"],
+    ids=["study-grid", "reference-grid", "study-ladder"],
 )
 def test_failed_grid_study_writes_nothing(tmp_path, capsys, convergence, override, message):
     path = write_case(tmp_path, with_block(convergence=convergence))
@@ -329,6 +356,15 @@ def test_failed_grid_study_writes_nothing(tmp_path, capsys, convergence, overrid
     code = main(["converge", str(path), "--out", str(out), *override])
     assert code == EXIT_NO_CONVERGENCE
     assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_failed_bench_writes_nothing(tmp_path, capsys):
+    case = Path(__file__).resolve().parent.parent / "cases" / "bench_clamped.json"
+    out = tmp_path / "out"
+    code = main(["bench", str(case), "--out", str(out), "--max-iter", "1"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "bench solve failed at grid 9" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

@@ -42,6 +42,11 @@ def test_invalid_arguments():
         newton(resid, jac, np.ones(2), max_iter=0)
 
 
+def test_unknown_strategy_rejected(table1_ss):
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        solve_plate(table1_ss, strategy="bogus")
+
+
 def test_singular_jacobian_reported():
     w, report = newton(
         lambda x: np.array([1.0]),

@@ -106,6 +106,29 @@ def test_spec_validation():
         PlateSpec.isotropic(a=1.0, h=0.01, e=1e6, nu=-1.0, q=1.0, nx=7, ny=7, bc=CLAMPED)
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [("a", np.nan, "a"), ("e", np.inf, "e1"), ("h", np.inf, "h"),
+     ("q", np.nan, "q"), ("q", np.inf, "q")],
+)
+def test_spec_rejects_non_finite_values(field, value, name):
+    args = dict(a=1.0, h=0.01, e=1e6, nu=0.3, q=1.0, nx=7, ny=7, bc=CLAMPED)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        PlateSpec.isotropic(**{**args, field: value})
+
+
+def test_spec_limits_uniform_grids():
+    """Uniform grids stop at MAX_UNIFORM_POINTS; Chebyshev ones go on to
+    MAX_POINTS."""
+    top = dq_core.MAX_UNIFORM_POINTS
+    args = dict(a=1.0, h=0.01, e=1e6, nu=0.3, q=1.0, bc=SIMPLY_SUPPORTED)
+    PlateSpec.isotropic(**args, nx=top, ny=top, grid_kind=UNIFORM)
+    PlateSpec.isotropic(**args, nx=dq_core.MAX_POINTS, ny=dq_core.MAX_POINTS)
+    for name, (nx, ny) in (("nx", (top + 2, top)), ("ny", (top, top + 2))):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[5, {top}\]"):
+            PlateSpec.isotropic(**args, nx=nx, ny=ny, grid_kind=UNIFORM)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -191,6 +214,28 @@ def test_solved_system_holds_under_six_n_squared(table1_ss):
     in-plane LU, not both."""
     sys = solve_plate(replace(table1_ss, nx=13, ny=13)).system
     assert _array_bytes(sys, set()) < 6 * sys.n**2 * 8
+
+
+def test_first_residual_allocates_under_one_and_a_half_n_squared(table1_ss, rng):
+    """The first residual of a fresh N = 21 system forms B^-1 in the LU's own
+    buffer: it allocates only the inversion's workspace, no second (2n)^2
+    array (4 n^2 doubles)."""
+    sys = build_system(replace(table1_ss, nx=21, ny=21))
+    w = rng.standard_normal(sys.n)
+    tracemalloc.start()
+    try:
+        residual(sys, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sys.n**2 * 8
+
+
+def test_inplane_inverse_shares_the_lu_buffer(table1_ss):
+    sys = build_system(table1_ss)
+    lu = sys.inplane.lu[0]
+    solve_plate(table1_ss, system=sys)
+    assert sys.inplane.lu is None and np.shares_memory(sys.inplane._inverse, lu)
 
 
 def test_singular_inplane_block_raises_decoupling_error(table1_ss):
@@ -314,6 +359,12 @@ def test_recover_inplane_matches_explicit_inverses(rng):
 # ---------------------------------------------------------------------------
 # residual and Jacobian
 # ---------------------------------------------------------------------------
+
+
+def test_residual_rejects_wrong_length(table1_ss):
+    sys = build_system(table1_ss)
+    with pytest.raises(ValueError, match=r"length 25, got \(3,\)"):
+        residual(sys, np.zeros(3))
 
 
 def test_residual_at_zero_is_minus_load(table1_ss):
