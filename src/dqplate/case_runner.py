@@ -402,7 +402,8 @@ def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
         solve_ms = (perf_counter() - t0) * 1e3
         if not sol.report.converged:
             return None
-        rows.append([sys_n.n, strategy, jac_ms, solve_ms, sol.report.iterations])
+        n = sys_n.bcx.n_interior * sys_n.bcy.n_interior  # unknowns per field on the full grid
+        rows.append([n, strategy, jac_ms, solve_ms, sol.report.iterations])
     return rows
 
 

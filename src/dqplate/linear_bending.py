@@ -88,12 +88,14 @@ def linear_reference_center(spec: PlateSpec) -> float:
 
 
 def linear_center_builtin(spec: PlateSpec) -> float:
-    """Linear-limit center w/h from H4 W = load on the reduced operators."""
+    """Linear-limit center w/h from H4 W = load on the reduced operators,
+    folded onto the symmetric quarter as in ``plate_model.assemble``."""
     mat = plate_model.derive_material(spec)
     x, y = plate_model.reduced_operators(spec)
-    op = plate_model.bending_operator(spec, mat, x, y)
+    fx, fy = (plate_model.fold(ops)[plate_model.EVEN] for ops in (x, y))
+    op = plate_model.bending_operator(spec, mat, fx, fy)
     w = plate_model.solve_bending(op, np.full(len(op), plate_model.load_scale(spec, mat)))
-    full = plate_model.full_grid(x, y, w)
+    full = plate_model.full_grid(x, y, w, plate_model.PARITY_W)
     return plate_model._interp_center(full, x.grid.nodes, y.grid.nodes)
 
 
@@ -107,7 +109,7 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     kind = spec.grid_kind
     gx, gy = (bc_builder.delta_grid(dq_core.make_grid(m, kind), delta) for m in (nx, ny))
     dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
-    op = plate_model.bending_operator(spec, mat, dmx, dmy)
+    op = plate_model.bending_operator(spec, mat, *map(plate_model.factor_stack, (dmx, dmy)))
     order = "first" if spec.bc == CLAMPED else "second"
     # row (i, j) of each operator is the equation at node (x_i, y_j)
     rows = op.reshape(nx, ny, -1)

@@ -1,10 +1,11 @@
 """Newton iteration with a pluggable Jacobian strategy, plus plate drivers.
 
 The iteration is plain Newton with an LU solve per step, which factors the
-Jacobian in place; the step never forms an inverse of J.  The constant
-in-plane block's inverse is formed at a system's first in-plane solve: the
-residual applies it as one product, and the analytic Jacobian turns its
-in-plane sensitivity solve into products with 1-D factors (see
+Jacobian in place; the step never forms an inverse of J.  It runs on the
+symmetric quarter's unknowns (see ``plate_model``).  The constant in-plane
+block's inverse is formed when the system is assembled: the residual
+applies it as one product, and the analytic Jacobian turns its in-plane
+sensitivity solve into products with 1-D factors (see
 ``plate_model.jacobian``).  A half-step fallback engages only when a full
 step increases the residual, so benchmark timings stay comparable to the
 undamped method while runaway steps are caught.  Convergence is measured

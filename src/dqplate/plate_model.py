@@ -13,8 +13,20 @@ with o the elementwise product.  The first two equations are linear in
 (U, V) for given W, so the inverse of the stacked block system, formed once
 per system, eliminates them; Newton then iterates on W alone.
 
+The system is solved on the symmetric quarter.  Every accepted case is
+symmetric under x -> 1 - x and y -> 1 - y (uniform load, one support kind
+on all four edges, axis-aligned orthotropy, symmetric grids), so W is even
+in x and y, U odd in x and even in y, and V even in x and odd in y.  Each
+direction keeps the first half of its interior nodes plus the center node
+when their count is odd, and each 1-D factor X is folded into S X P_p
+(``fold``; the even-odd decomposition of differentiation matrices,
+Solomonoff, J. Comput. Phys. 98 (1992) 174).  Every field is a vector over
+the quarter's nodes, zero on the center line where its parity makes it
+vanish, so the elementwise products stay pointwise; ``full_grid`` mirrors
+a field back with its parity's signs.
+
 Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
-reduced matrices and is kept only as these terms, every product H_k Z
+folded matrices and is kept only as these terms, every product H_k Z
 going through the 1-D factors (sum factorization); only H4 and the
 in-plane block, which LAPACK factors, are made dense.  Each nonlinear term
 is written once: ``_FORCING`` lists the in-plane right-hand side's products
@@ -33,13 +45,11 @@ membrane forces, H7/H8 the scaled first-derivative maps along x and y.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 import numpy as np
 from numpy import kron
-from scipy.linalg import blas, lapack, lu_factor, solve
+from scipy.linalg import blas, lapack, solve
 
 from . import bc_builder, dq_core
 from .bc_builder import BC_KINDS, BoundaryOperatorSet
@@ -177,13 +187,47 @@ def load_scale(spec: PlateSpec, mat: DerivedMaterial) -> float:
 
 
 _ID, _D1, _D2, _D4 = range(4)  # factor indices: identity, derivative orders
+EVEN, ODD = 0, 1
+# Mirror parities (x, y) of the fields W, U and V.
+PARITY_W, PARITY_U, PARITY_V = (EVEN, EVEN), (ODD, EVEN), (EVEN, ODD)
+# [p, k]: factor k maps a line of parity p to an odd one (D1 flips parity).
+_ODD_RESULT = np.array([[False, True, False, False], [True, False, True, True]])
 
 
-def _factor_stack(mats) -> np.ndarray:
+def factor_stack(mats) -> np.ndarray:
     """The 1-D factors X of one direction: identity and the ``first``,
     ``second`` and ``fourth`` matrices of ``mats``.  A Kronecker term (c, ix,
     iy) is c kron(X[ix], Y[iy]), X on the x index, Y on the y index."""
     return np.stack([np.eye(len(mats.first)), mats.first, mats.second, mats.fourth])
+
+
+def mirror_maps(m: int) -> np.ndarray:
+    """P_even and P_odd, (2, m, m - m // 2): a line of m nodes from its
+    first half plus the center node, mirrored with the parity's sign.  An
+    odd line is zero on the center node, so P_odd ignores that entry."""
+    h, half = m // 2, m - m // 2
+    p = np.zeros((2, m, half))
+    p[:, :half] = np.eye(half)
+    p[ODD, h:half] = 0.0
+    i = np.arange(h)
+    p[EVEN, m - 1 - i, i] = 1.0
+    p[ODD, m - 1 - i, i] = -1.0
+    return p
+
+
+def fold(mats) -> np.ndarray:
+    """The factors of ``factor_stack(mats)`` folded onto half a line,
+    (2, 4, k, k) with k = m - m // 2: S X P_p for each operand parity p, S
+    keeping the first k rows.  A result that is odd is set to zero on the
+    center node, its exact value; the full-grid factors give rounding there.
+    """
+    x = factor_stack(mats)
+    m = len(x[0])
+    half = m - m // 2
+    folded = np.einsum("kij,pjl->pkil", x[:, :half], mirror_maps(m))
+    if m % 2:
+        folded[_ODD_RESULT, half - 1] = 0.0
+    return folded
 
 
 def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
@@ -196,79 +240,33 @@ def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
     )
 
 
-def _kron_sum(terms, fx: np.ndarray, fy: np.ndarray, out=None) -> np.ndarray:
-    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``.
-    Written term by term into ``out`` (zeros if None), which may be a view
-    such as a block of a larger matrix: a term with an identity factor fills
-    only its O(n N) entries."""
-    nx, ny = fx.shape[1], fy.shape[1]
-    out = np.zeros((nx * ny, nx * ny)) if out is None else out
-    o4 = out.reshape(nx, ny, nx, ny, copy=False)
-    for c, ix, iy in terms:
-        if iy == _ID:  # c X[a, b] at row (a, j), column (b, j)
-            np.einsum("ajbj->ajb", o4)[...] += c * fx[ix][:, None, :]
-        elif ix == _ID:  # c Y[j, k] at row (a, j), column (a, k)
-            np.einsum("ajak->ajk", o4)[...] += c * fy[iy]
-        else:
-            out += kron(c * fx[ix], fy[iy])
-    return out
+def _kron_sum(terms, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``."""
+    return sum(kron(c * fx[ix], fy[iy]) for c, ix, iy in terms)
 
 
-def bending_operator(spec: PlateSpec, mat: DerivedMaterial, x, y) -> np.ndarray:
-    """Scaled bending operator from per-direction derivative matrices.
-
-    ``x`` and ``y`` are the reduced interior operators in the built-in linear
-    center and the full-grid weighting matrices in the auxiliary-point
-    comparison.
-    """
-    return _kron_sum(_bending_terms(spec, mat), _factor_stack(x), _factor_stack(y))
-
-
-@dataclass(eq=False)
-class InplaneBlock:
-    """The in-plane block B = [[H1, H2], [H2, H3]], applied through B^-1.
-
-    ``assemble`` hands over the LU factors of B^T: B^T is the Fortran-ordered
-    view of B assembled in C order, so LAPACK factors it in place.  The first
-    in-plane solve inverts the factors in their own buffer and drops them, so
-    one (2n)^2 array holds B, then its LU, then B^-1, and every solve is one
-    product with B^-1.  Copies made by ``with_load`` share this object, so a
-    load sweep forms B^-1 once.
-    """
-
-    lu: tuple | None
-    _inverse: np.ndarray | None = field(default=None, repr=False)
-    _lock: Any = field(default_factory=threading.Lock, repr=False)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """B^-1 rhs, one BLAS product without a finite check: a non-finite
-        ``rhs`` gives a non-finite solution, which Newton reports."""
-        return blas.dgemv(1.0, self.inverse().T, rhs, trans=1)
-
-    def inverse(self) -> np.ndarray:
-        """B^-1, C-ordered: inverting the LU of B^T in place leaves B^-T in
-        Fortran order, whose transpose is B^-1 in C order."""
-        with self._lock:
-            if self._inverse is None:
-                lwork, _ = lapack.dgetri_lwork(len(self.lu[1]))
-                x, info = lapack.dgetri(*self.lu, lwork=int(lwork), overwrite_lu=True)
-                if info != 0:
-                    raise ValueError(f"dgetri: info {info}")
-                self._inverse, self.lu = x.T, None
-            return self._inverse
+def bending_operator(spec: PlateSpec, mat: DerivedMaterial, fx, fy) -> np.ndarray:
+    """Scaled bending operator over per-direction factor stacks: the folded
+    even factors of the reduced interior operators in the built-in linear
+    center, the full-grid weighting matrices in the auxiliary-point one."""
+    return _kron_sum(_bending_terms(spec, mat), fx, fy)
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The operators of one plate case, each kept once, as Kronecker terms.
+    """The operators of one plate case on the symmetric quarter, each kept
+    once, as Kronecker terms.
 
-    ``n`` is the per-field unknown count.  ``terms`` gives each of H1..H8 as
-    its terms (c, ix, iy) over the 1-D factor stacks ``factors`` = (X, Y)
-    (see ``_factor_stack``).  ``x_mix`` and ``y_all`` lay the same terms out
-    for ``_products``: every Y^T side by side, and per operator and y factor
-    the sum of c X.  ``h4``, H4 written from its terms, serves the linear
-    solve and is the Jacobian's base.  ``inplane`` holds the in-plane block's
-    LU, factored once, until its first solve turns it into B^-1 in place.
+    ``n`` is the number of quarter nodes, the length of every field vector
+    W, U and V.  ``terms`` gives each of H1..H8 as its terms (c, ix, iy)
+    over the folded factor stacks ``factors`` = (X, Y), where X[p] holds the
+    factors for an operand of x parity p (see ``fold``).  ``x_mix`` and
+    ``y_all`` lay the same terms out for ``_products``, per parity: every
+    Y^T side by side, and per operator and y factor the sum of c X.  ``h4``,
+    H4 written from its terms, serves the linear solve and is the
+    Jacobian's base.  ``inplane_inverse`` is B^-1, formed once, with zero
+    rows and columns on the odd classes' center lines; ``inplane_rcond`` is
+    LAPACK's estimate of B's reciprocal condition number in the 1-norm.
     """
 
     spec: PlateSpec
@@ -286,21 +284,48 @@ class AssembledSystem:
     beta_x: float
     beta_y: float
     gamma: float
-    inplane: InplaneBlock = field(repr=False)
+    inplane_inverse: np.ndarray = field(repr=False)
+    inplane_rcond: float
+
+    @property
+    def quarter_shape(self) -> tuple[int, int]:
+        """Quarter nodes per direction: a field vector is this array, row-major."""
+        return self.factors[0].shape[-1], self.factors[1].shape[-1]
+
+
+def _invert_inplane(b: np.ndarray) -> tuple[np.ndarray, float]:
+    """B^-1 of a C-ordered B, and LAPACK's estimate of its reciprocal
+    condition number.  B^T is B's Fortran-ordered view, so one buffer holds
+    B, then the LU of B^T, then B^-T, whose transpose is B^-1."""
+    bt = b.T
+    anorm = np.abs(bt).sum(axis=0).max()  # 1-norm of B^T
+    lu, piv, _ = lapack.dgetrf(bt, overwrite_a=True)
+    diag = np.abs(np.diag(lu))
+    if diag.min() <= 1e-14 * diag.max():
+        raise DecouplingError(
+            "in-plane block system is numerically singular "
+            f"(pivot ratio {diag.min() / diag.max():.3e})"
+        )
+    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
+    lwork, _ = lapack.dgetri_lwork(len(lu))
+    x, info = lapack.dgetri(lu, piv, lwork=int(lwork), overwrite_lu=True)
+    if info != 0:
+        raise ValueError(f"dgetri: info {info}")
+    return x.T, float(rcond)
 
 
 def assemble(
     spec: PlateSpec, bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet
 ) -> AssembledSystem:
-    """Assemble the operators' Kronecker terms from per-direction reduced
-    matrices, and the two dense matrices that are factored.
+    """Assemble the operators' Kronecker terms on the quarter from
+    per-direction reduced matrices, H4, and the in-plane inverse.
 
     Kronecker products place the x-direction matrices on the row index and
     the y-direction ones on the column index of the row-stacked fields.
     Aspect-ratio powers follow from mapping the plate to the unit square;
     the transverse equation is normalized by the x bending rigidity, so its
     load is q a^4 / (D1 h).  H4 and the in-plane block are written from the
-    terms; the in-plane inverse is not formed here.
+    terms, and the block is inverted here.
     """
     if bcx.bc_kind != spec.bc or bcy.bc_kind != spec.bc:
         raise AssemblyError("boundary operator kind does not match the spec")
@@ -310,8 +335,9 @@ def assemble(
             f"spec grids ({spec.nx}, {spec.ny})"
         )
     mat = derive_material(spec)
-    nxi, nyi = bcx.n_interior, bcy.n_interior
-    n = nxi * nyi
+    fx, fy = fold(bcx), fold(bcy)
+    nx, ny = fx.shape[-1], fy.shape[-1]
+    n = nx * ny
     a, b, h = spec.a, spec.b, spec.h
     rab, ex, ey = a / b, (h / a) ** 2, (h / b) ** 2
     shear = mat.mu * spec.g12
@@ -326,38 +352,41 @@ def assemble(
         ((ex, _D1, _ID),),                                                   # H7
         ((ey, _ID, _D1),),                                                   # H8
     )
-    fx, fy = _factor_stack(bcx), _factor_stack(bcy)
-    x_mix = np.zeros((8, nxi, len(fy), nxi))
+    x_mix = np.zeros((2, 8, nx, 4, nx))
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
-            x_mix[k, :, iy] += c * fx[ix]
+            x_mix[:, k, :, iy] += c * fx[:, ix]
 
-    # B^T is the Fortran-ordered view of B, factored in place.
+    # B = [[H1, H2], [H2, H3]] on U and V, each column block folded by its
+    # field's parity.  Its rows and columns on U's center x-line and V's
+    # center y-line are zero, and so are U and V there: B is inverted on
+    # the other unknowns.  Clamped N = 5 leaves none.
     block = np.zeros((2, n, 2, n))
     for k, rows, cols in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)):
-        _kron_sum(terms[k], fx, fy, out=block[rows, :, cols])
-    lu = lu_factor(block.reshape(2 * n, 2 * n).T, overwrite_a=True)
-    diag = np.abs(np.diag(lu[0]))
-    if diag.min() <= 1e-14 * diag.max():
-        raise DecouplingError(
-            "in-plane block system is numerically singular "
-            f"(pivot ratio {diag.min() / diag.max():.3e})"
-        )
+        px, py = (PARITY_U, PARITY_V)[cols]
+        block[rows, :, cols] = _kron_sum(terms[k], fx[px], fy[py])
+    live = np.ones((2, nx, ny), dtype=bool)
+    live[0, bcx.n_interior // 2:] = live[1, :, bcy.n_interior // 2:] = False
+    inverse, rcond = np.zeros((2 * n, 2 * n)), 1.0
+    if live.any():
+        live = np.ix_(live.ravel(), live.ravel())
+        inverse[live], rcond = _invert_inplane(block.reshape(2 * n, 2 * n)[live])
 
     return AssembledSystem(
         spec, mat, bcx, bcy,
-        h4=_kron_sum(terms[3], fx, fy),
+        h4=_kron_sum(terms[3], fx[EVEN], fy[EVEN]),
         factors=(fx, fy),
         terms=terms,
-        x_mix=x_mix.reshape(8, nxi, -1),
-        y_all=fy.transpose(2, 0, 1).reshape(nyi, -1),
+        x_mix=x_mix.reshape(2, 8, nx, -1),
+        y_all=fy.transpose(0, 3, 1, 2).reshape(2, ny, -1),
         load=load_scale(spec, mat) * np.ones(n),
         n=n,
         alpha=a**4 / (mat.mu * mat.d1 * h),
         beta_x=(a / h) ** 2,
         beta_y=(b / h) ** 2,
         gamma=2.0 * mat.mu * spec.g12 / mat.c,
-        inplane=InplaneBlock(lu),
+        inplane_inverse=inverse,
+        inplane_rcond=rcond,
     )
 
 
@@ -376,7 +405,7 @@ def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
     """Copy of an assembled system under a different pressure.
 
     Only the load vector depends on q, so load sweeps reuse the operators
-    and the in-plane block, whose inverse is formed once for all loads.
+    and the in-plane inverse, formed once for all loads.
     """
     spec = replace(sys.spec, q=q)
     return replace(sys, spec=spec, load=load_scale(spec, sys.material) * np.ones(sys.n))
@@ -399,19 +428,18 @@ def _matmul(a: np.ndarray, b: np.ndarray, out=None, beta=0.0) -> np.ndarray:
     return blas.dgemm(1.0, b.T, a.T, beta=beta, c=out.T, overwrite_c=True).T
 
 
-def _products(sys: AssembledSystem, z: np.ndarray, ops=slice(None)) -> np.ndarray:
-    """H_k z for the operators ``ops`` (all eight by default) on one field z,
-    (n,), or a stack of fields, (m, n): a (k, n) or (k, m, n) array.
+def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> np.ndarray:
+    """H_k z for the operators ``ops`` (all eight by default) on one field z
+    of the given parity: a (k, n) array.
 
     Sum factorization: one product applies every y factor to every x-line,
     one more every operator's x factors with its term coefficients."""
-    nx, ny = sys.bcx.n_interior, sys.bcy.n_interior
-    m = z.size // sys.n
-    zy = _matmul(z.reshape(m * nx, ny), sys.y_all)  # [(field, c), (iy, j)]: Z Y_iy^T
-    zy = zy.reshape(m, nx, -1, ny).transpose(2, 1, 0, 3).reshape(-1, m * ny)
-    x_mix = sys.x_mix[ops]
-    out = _matmul(x_mix.reshape(-1, x_mix.shape[-1]), zy)  # [(k, a), (field, j)]
-    return out.reshape(-1, nx, m, ny).transpose(0, 2, 1, 3).reshape((-1,) + z.shape)
+    px, py = parity
+    nx, ny = sys.quarter_shape
+    zy = _matmul(z.reshape(nx, ny), sys.y_all[py])  # [a, (iy, j)]: Z Y_iy^T
+    zy = zy.reshape(nx, -1, ny).transpose(1, 0, 2).reshape(-1, ny)
+    x_mix = sys.x_mix[px, ops]
+    return _matmul(x_mix.reshape(-1, x_mix.shape[-1]), zy).reshape(-1, sys.n)
 
 
 # The in-plane right-hand side [l1; l2]: each block a sum of products
@@ -432,14 +460,18 @@ def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
 
 
 def _inplane_fields(sys: AssembledSystem, hw: np.ndarray) -> np.ndarray:
-    """Rows U, V solving B [U; V] = -[l1; l2], as one product with B^-1."""
-    return sys.inplane.solve(-_inplane_forcing(hw)).reshape(2, sys.n)
+    """Rows U, V solving B [U; V] = -[l1; l2], as one product with B^-1,
+    without a finite check: a non-finite W gives non-finite fields, which
+    Newton reports."""
+    rhs = -_inplane_forcing(hw)
+    return blas.dgemv(1.0, sys.inplane_inverse.T, rhs, trans=1).reshape(2, sys.n)
 
 
 def _transverse_terms(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray):
     """The nonlinear transverse terms c (H_k W) o e as (c, k, e): a coefficient,
     the index of the stress operator H_k (H5, H6, H2) and a membrane strain."""
-    (h7u, h7v), (h8u, h8v) = _products(sys, uv, slice(6, 8))
+    h7u, h8u = _products(sys, uv[0], PARITY_U, slice(6, 8))
+    h7v, h8v = _products(sys, uv[1], PARITY_V, slice(6, 8))
     h7w, h8w = hw[6], hw[7]
     return (
         (sys.beta_x, 4, h7u + 0.5 * h7w**2),
@@ -468,7 +500,9 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     dV/dW) with [dU/dW; dV/dW] = -B^-1 dl/dW.  H7 and H8 are applied to
     B^-1 from the left, and dl/dW's operators (H7, H8, H1, H2, H3) to the
     column-scaled Y from the right, all through their 1-D factors (sum
-    factorization): O(n^2 N) work, no n^3 product or solve.
+    factorization): O(n^2 N) work, no n^3 product or solve.  Every operator
+    acts on W, with even factors, except those applied to B^-1's rows, which
+    act on U or V and take the factors of that field's parity.
 
     With the x index outermost in a row-stacked field, kron(X, I) Z is one
     product of X with Z seen as N_x rows, and kron(I, Y) Z is Y times each
@@ -478,10 +512,10 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     in place.
     """
     w = _check_size(sys, w)
-    n, nx, alpha = sys.n, sys.bcx.n_interior, sys.alpha
-    ny = n // nx
+    n, alpha = sys.n, sys.alpha
+    nx, ny = sys.quarter_shape
     lines = [slice(i * ny, (i + 1) * ny) for i in range(nx)]
-    hw = _products(sys, w)
+    hw = _products(sys, w, PARITY_W)
     terms = _transverse_terms(sys, hw, _inplane_fields(sys, hw))
     p1, p2, p3 = (c * hw[k] for c, k, _ in terms)
 
@@ -489,18 +523,20 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     # with B_U, B_V the row blocks of B^-1 and H7 = c7 kron(A_x, I),
     # H8 = c8 kron(I, A_y): the H7 products in one product each and their
     # row scalings, then line by line the H8 products, whose row scalings
-    # fold into A_y.
+    # fold into A_y.  The identity stands for the folded one of U's x and
+    # V's y parity, as B_U and B_V are zero on those center lines.
     fx, fy = sys.factors
     ((c7, i7, _),), ((c8, _, j8),) = sys.terms[6], sys.terms[7]
-    b_u, b_v = sys.inplane.inverse().reshape(2, nx, ny, 2 * n)
+    b_u, b_v = sys.inplane_inverse.reshape(2, nx, ny, 2 * n)
     y = np.empty((nx, ny, 2 * n))
     t = np.empty((nx, ny, 2 * n))
-    _matmul(c7 * fx[i7], b_u.reshape(nx, -1), out=y.reshape(nx, -1))
-    _matmul(c7 * fx[i7], b_v.reshape(nx, -1), out=t.reshape(nx, -1))
+    _matmul(c7 * fx[PARITY_U[0], i7], b_u.reshape(nx, -1), out=y.reshape(nx, -1))
+    _matmul(c7 * fx[PARITY_V[0], i7], b_v.reshape(nx, -1), out=t.reshape(nx, -1))
     y *= p1.reshape(nx, ny, 1)
     t *= p3.reshape(nx, ny, 1)
     y += t
-    f_u, f_v = ((c8 * p).reshape(nx, ny, 1) * fy[j8] for p in (p3, p2))
+    f_u = (c8 * p3).reshape(nx, ny, 1) * fy[PARITY_U[1], j8]
+    f_v = (c8 * p2).reshape(nx, ny, 1) * fy[PARITY_V[1], j8]
     for i in range(nx):
         _matmul(f_u[i], b_u[i], out=y[i], beta=1.0)
         _matmul(f_v[i], b_v[i], out=y[i], beta=1.0)
@@ -527,7 +563,7 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
         if iy == _ID:
             np.einsum("ijj->ij", g)[...] += v[:, 0]
         else:
-            g += fy[iy].T * v
+            g += fy[EVEN, iy].T * v
 
     for k, v in row_scaled:
         for c, ix, iy in sys.terms[k]:
@@ -547,14 +583,14 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
         z[...] = _matmul(f[i, 1:].reshape(2 * ny, 2 * ny), z)
     np.einsum("ajak->ajk", jt.reshape(nx, ny, nx, ny))[...] += d[:, 0]
     np.einsum("igjik->igjk", yt.reshape(nx, 2, ny, nx, ny))[...] += d[:, 1:]
-    x_factors = fx[[_D1, _D2]].transpose(2, 1, 0).reshape(nx, 2 * nx)
+    x_factors = fx[EVEN, [_D1, _D2]].transpose(2, 1, 0).reshape(nx, 2 * nx)
     _matmul(x_factors, yt.reshape(2 * nx, -1), out=jt.reshape(nx, -1), beta=1.0)
     return jt.T
 
 
 def l_vectors(sys: AssembledSystem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic right-hand sides of the in-plane equations for given W."""
-    rhs = _inplane_forcing(_products(sys, _check_size(sys, w)))
+    rhs = _inplane_forcing(_products(sys, _check_size(sys, w), PARITY_W))
     return rhs[: sys.n], rhs[sys.n :]
 
 
@@ -567,13 +603,13 @@ def recover_inplane(
     paper's elimination inverses of its blocks: equivalent whenever those
     exist and well defined whenever the block system itself is regular.
     """
-    u, v = _inplane_fields(sys, _products(sys, _check_size(sys, w)))
+    u, v = _inplane_fields(sys, _products(sys, _check_size(sys, w), PARITY_W))
     return u, v
 
 
 def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     """Transverse equilibrium residual with the in-plane fields eliminated."""
-    hw = _products(sys, _check_size(sys, w))
+    hw = _products(sys, _check_size(sys, w), PARITY_W)
     return _transverse(sys, hw, _inplane_fields(sys, hw))
 
 
@@ -601,25 +637,24 @@ def coupled_residual(
 
     Used to confirm that the decoupled solve loses nothing: a converged W
     with its recovered in-plane fields must satisfy all three equations.
+    They are evaluated on the quarter with the solver's own products.
     """
     w = _check_size(sys, w)
-    n = sys.n
-    hw = _products(sys, w)
-    rhs = _inplane_forcing(hw)
-    uv = np.stack([u, v])
-    (h1u, h1v), (h2u, h2v), (h3u, h3v) = _products(sys, uv, slice(0, 3))
-    r1 = h1u + h2v + rhs[:n]
-    r2 = h2u + h3v + rhs[n:]
-    return r1, r2, _transverse(sys, hw, uv)
+    hw = _products(sys, w, PARITY_W)
+    l1, l2 = _inplane_forcing(hw).reshape(2, sys.n)
+    h1u, h2u = _products(sys, u, PARITY_U, slice(0, 2))
+    h2v, h3v = _products(sys, v, PARITY_V, slice(1, 3))
+    return h1u + h2v + l1, h2u + h3v + l2, _transverse(sys, hw, np.stack([u, v]))
 
 
 @dataclass(frozen=True)
 class SolutionField:
     """Converged displacement fields of one solve.
 
-    Stacked interior vectors are dimensionless (W = w/h, U = u/a, V = v/b);
-    the full-grid arrays are physical displacements on the tensor grid with
-    boundary conditions built back in by the recovery maps.
+    The stacked vectors are dimensionless (W = w/h, U = u/a, V = v/b) and
+    hold each field on the quarter's nodes; the full-grid arrays are
+    physical displacements on the tensor grid, mirrored with each field's
+    parity and with boundary conditions built back in by the recovery maps.
     """
 
     w_stack: np.ndarray
@@ -654,10 +689,15 @@ def _interp_center(values: np.ndarray, xn: np.ndarray, yn: np.ndarray) -> float:
     )
 
 
-def full_grid(bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet, f) -> np.ndarray:
-    """Stacked interior field f on the full grid, boundary conditions built
-    back in: R_x F R_y^T with F the (x, y) array of f and R the recovery maps."""
-    return bcx.recovery @ f.reshape(bcx.n_interior, bcy.n_interior) @ bcy.recovery.T
+def full_grid(bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet, f, parity) -> np.ndarray:
+    """Quarter field f of the given parity on the full grid: mirrored with
+    its parity's signs, boundary conditions built back in.  R_x P_x F P_y^T
+    R_y^T, with F the (x, y) array of f, P the mirror maps and R the
+    recovery maps."""
+    rx, ry = (
+        ops.recovery @ mirror_maps(ops.n_interior)[p] for ops, p in zip((bcx, bcy), parity)
+    )
+    return rx @ f.reshape(rx.shape[1], ry.shape[1]) @ ry.T
 
 
 def recover_fields(
@@ -666,9 +706,12 @@ def recover_fields(
     u: np.ndarray,
     v: np.ndarray,
 ) -> SolutionField:
-    """Map stacked interior unknowns to physical full-grid fields."""
+    """Map quarter vectors to physical full-grid fields."""
     w = _check_size(sys, w)
-    w_full, u_full, v_full = (full_grid(sys.bcx, sys.bcy, f) for f in (w, u, v))
+    w_full, u_full, v_full = (
+        full_grid(sys.bcx, sys.bcy, f, parity)
+        for f, parity in ((w, PARITY_W), (u, PARITY_U), (v, PARITY_V))
+    )
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
     spec = sys.spec
     return SolutionField(

@@ -26,10 +26,13 @@ CONVERGENCE = ["kind", "n", "q", "center_w_over_h"]
 LINEAR = ["scheme", "n", "center_w_over_h", "series_center_w_over_h", "abs_error"]
 
 # case -> CSV -> column -> every value in row order.  center_w_over_h is
-# compared to 1e-9 relative (the CSVs carry 12 significant digits),
+# compared to 1e-9 relative (the CSVs carry 12 significant digits), n and
 # iterations exactly.
 PINNED = {
-    "bench_clamped": {"bench.csv": {"iterations": [5, 5, 5, 5, 5, 5]}},
+    "bench_clamped": {
+        # n: unknowns per field on the full grid, (N - 4)^2 for N = 9, 11, 13
+        "bench.csv": {"n": [25, 25, 49, 49, 81, 81], "iterations": [5, 5, 5, 5, 5, 5]}
+    },
     "fig2_grid_quality": {
         "convergence.csv": {
             "center_w_over_h": [
@@ -117,8 +120,9 @@ def test_bundled_case_runs(path, tmp_path):
         if "center_w_over_h" in pins:
             got = [float(r["center_w_over_h"]) for r in rows]
             assert got == pytest.approx(pins["center_w_over_h"], rel=1e-9, abs=0)
-        if "iterations" in pins:
-            assert [int(r["iterations"]) for r in rows] == pins["iterations"]
+        for column in ("n", "iterations"):
+            if column in pins:
+                assert [int(r[column]) for r in rows] == pins[column]
 
 
 def test_module_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 """Derived material constants, assembly, residual and Jacobian algebra."""
 
+import math
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
@@ -8,11 +9,15 @@ import pytest
 
 from conftest import dense_operator
 from dimensional_oracle import solve_dimensional
+from fullgrid_oracle import FullGrid, mirror, restrict
 from dqplate import bc_builder, dq_core, plate_model as pm
 from dqplate.bc_builder import CLAMPED, SIMPLY_SUPPORTED
 from dqplate.dq_core import CHEBYSHEV, UNIFORM
 from dqplate.newton_solver import fd_jacobian, solve_plate
 from dqplate.plate_model import (
+    PARITY_U,
+    PARITY_V,
+    PARITY_W,
     AssemblyError,
     DecouplingError,
     MaterialError,
@@ -135,8 +140,14 @@ def test_spec_limits_uniform_grids():
 
 
 def test_interior_sizes(table1_ss, table1_clamped):
-    assert build_system(table1_ss).n == 25          # (7-2)^2
-    assert build_system(table1_clamped).n == 25     # (9-4)^2
+    """7 simply supported and 9 clamped points leave 5 interior nodes per
+    line, (7-2)^2 = (9-4)^2 = 25 per field; the quarter keeps 3 per line."""
+    for spec in (table1_ss, table1_clamped):
+        sys = build_system(spec)
+        assert (sys.bcx.n_interior, sys.bcy.n_interior) == (5, 5)
+        assert sys.quarter_shape == (3, 3) and sys.n == 9
+        for parity in (PARITY_W, PARITY_U, PARITY_V):
+            assert mirror(sys, parity).shape == (25, 9)
 
 
 def test_load_scale_table1(table1_ss):
@@ -151,9 +162,9 @@ def test_zero_pressure_zero_load(table1_ss):
 
 def test_square_isotropic_swap_symmetry(table1_ss):
     sys = build_system(table1_ss)
-    p = swap_permutation(sys.bcx.n_interior)
     h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
-    for h in (sys.h4, h1 + h3, h2):
+    for h in (sys.h4, h1 + h3, h2):  # H4 on the quarter, the others full
+        p = swap_permutation(math.isqrt(len(h)))
         np.testing.assert_allclose(p @ h @ p.T, h, rtol=1e-12, atol=1e-9)
 
 
@@ -165,61 +176,74 @@ FACTOR_GRIDS = {
 
 @pytest.mark.parametrize("grid", sorted(FACTOR_GRIDS))
 def test_factor_products_match_dense_oracle(grid, orthotropic_spec, rng):
-    """Every H_k z through the 1-D factors, on one field and on a stack of
-    two, against the dense np.kron oracle; H4 and the in-plane block, the
-    two dense matrices, against it as well."""
+    """Every H_k z through the folded 1-D factors, on a quarter field of each
+    parity, against the dense np.kron oracle on the mirrored field, S H_k P z;
+    H4 and the in-plane inverse, the two dense matrices, against it as well."""
     sys = build_system(replace(orthotropic_spec, **FACTOR_GRIDS[grid]))
-    n = sys.n
-    z = rng.standard_normal((2, n))
-    one, stacked = pm._products(sys, z[0]), pm._products(sys, z)
-    assert one.shape == (8, n) and stacked.shape == (8, 2, n)
-    for k in range(1, 9):
-        h = dense_operator(sys, k)
-        for got, ref in ((one[k - 1], h @ z[0]), (stacked[k - 1], z @ h.T)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    h78 = pm._products(sys, z, slice(6, 8))
-    assert np.abs(h78 - stacked[6:]).max() <= 1e-14 * np.abs(stacked[6:]).max()
-    h4 = dense_operator(sys, 4)
+    n, s = sys.n, restrict(sys)
+    for parity in (PARITY_W, PARITY_U, PARITY_V):
+        z = rng.standard_normal(n)
+        got = pm._products(sys, z, parity)
+        assert got.shape == (8, n)
+        for k in range(1, 9):
+            ref = s @ dense_operator(sys, k) @ mirror(sys, parity) @ z
+            assert np.abs(got[k - 1] - ref).max() <= 1e-12 * np.abs(ref).max()
+        h78 = pm._products(sys, z, parity, slice(6, 8))
+        assert np.abs(h78 - got[6:]).max() <= 1e-14 * np.abs(got[6:]).max()
+    h4 = s @ dense_operator(sys, 4) @ mirror(sys, PARITY_W)
     assert np.abs(sys.h4 - h4).max() <= 1e-12 * np.abs(h4).max()
-    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
-    x = rng.standard_normal(2 * n)
-    block_x = np.block([[h1, h2], [h2, h3]]) @ x
-    np.testing.assert_allclose(sys.inplane.solve(block_x), x, rtol=1e-9, atol=1e-12)
+    # [U; V] on their live nodes: zero on U's center x-line and V's center y-line
+    p_u, p_v = mirror(sys, PARITY_U), mirror(sys, PARITY_V)
+    u, v = (s @ p @ rng.standard_normal(n) for p in (p_u, p_v))
+    block_x = FullGrid(sys).block() @ np.concatenate([p_u @ u, p_v @ v])
+    block_x = np.concatenate([s @ half for half in np.split(block_x, 2)])
+    np.testing.assert_allclose(
+        sys.inplane_inverse @ block_x, np.concatenate([u, v]), rtol=1e-9, atol=1e-12
+    )
+
+
+def _arrays(obj, seen):
+    """The distinct ndarrays reachable through dataclass fields and tuples."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _arrays(getattr(obj, f.name), seen)
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from _arrays(x, seen)
 
 
 def _array_bytes(obj, seen):
     """Bytes of the distinct ndarrays reachable through dataclass fields and
     tuples."""
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if is_dataclass(obj):
-        return sum(_array_bytes(getattr(obj, f.name), seen) for f in fields(obj))
-    if isinstance(obj, tuple):
-        return sum(_array_bytes(x, seen) for x in obj)
-    return 0
+    return sum(a.nbytes for a in _arrays(obj, seen))
+
+
+# The 1-D factors, folded per parity, and the boundary operator sets take
+# about 120 n doubles, which is below n^2 from N = 23 on: on smaller grids the
+# quarter's n^2 no longer bounds them.
 
 
 def test_system_holds_under_six_n_squared(table1_ss):
-    """A fresh 13 x 13 system keeps H4 (n^2) and the in-plane LU (4 n^2)
-    dense, and every other operator only as 1-D factors."""
-    sys = build_system(replace(table1_ss, nx=13, ny=13))
+    """A fresh 31 x 31 system keeps H4 (n^2) and B^-1 (4 n^2) dense, and
+    every other operator only as 1-D factors."""
+    sys = build_system(replace(table1_ss, nx=31, ny=31))
     assert _array_bytes(sys, set()) < 6 * sys.n**2 * 8
 
 
 def test_solved_system_holds_under_six_n_squared(table1_ss):
-    """After a solve the 13 x 13 system holds B^-1 (4 n^2) in place of the
-    in-plane LU, not both."""
-    sys = solve_plate(replace(table1_ss, nx=13, ny=13)).system
+    """A solve adds no dense array to the 31 x 31 system."""
+    sys = solve_plate(replace(table1_ss, nx=31, ny=31)).system
     assert _array_bytes(sys, set()) < 6 * sys.n**2 * 8
 
 
 def test_first_residual_allocates_under_one_and_a_half_n_squared(table1_ss, rng):
-    """The first residual of a fresh N = 21 system forms B^-1 in the LU's own
-    buffer: it allocates only the inversion's workspace, no second (2n)^2
-    array (4 n^2 doubles)."""
+    """The first residual of a fresh N = 21 system allocates no (2n)^2 array
+    (4 n^2 doubles): build_system formed B^-1."""
     sys = build_system(replace(table1_ss, nx=21, ny=21))
     w = rng.standard_normal(sys.n)
     tracemalloc.start()
@@ -231,11 +255,17 @@ def test_first_residual_allocates_under_one_and_a_half_n_squared(table1_ss, rng)
     assert peak < 1.5 * sys.n**2 * 8
 
 
-def test_inplane_inverse_shares_the_lu_buffer(table1_ss):
-    sys = build_system(table1_ss)
-    lu = sys.inplane.lu[0]
-    solve_plate(table1_ss, system=sys)
-    assert sys.inplane.lu is None and np.shares_memory(sys.inplane._inverse, lu)
+def test_inplane_inverse_shares_the_lu_buffer(table1_ss, rng):
+    """B, its LU and B^-1 share one buffer, and the system holds B^-1 as its
+    one (2n)^2 array."""
+    b = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    inverse, _ = pm._invert_inplane(b)
+    assert np.shares_memory(inverse, b)
+    sys = build_system(replace(table1_ss, nx=21, ny=21))
+    n = sys.n
+    big = [a for a in _arrays(sys, set()) if a.size >= (2 * n) ** 2]
+    assert len(big) == 1 and big[0] is sys.inplane_inverse
+    assert big[0].shape == (2 * n, 2 * n)
 
 
 def test_singular_inplane_block_raises_decoupling_error(table1_ss):
@@ -297,19 +327,32 @@ def test_l_vectors_quadratic_homogeneity(table1_clamped, rng):
 
 
 def test_l_vectors_scalar_loop_oracle(table1_ss, rng):
-    """Entry-by-entry re-evaluation with plain Python loops."""
+    """Entry-by-entry re-evaluation with plain Python loops on the mirrored
+    full-grid W.  l1 is odd in x and l2 odd in y: on those center lines they
+    are exactly zero, where the full grid gives rounding."""
     sys = build_system(table1_ss)
     w = rng.standard_normal(sys.n)
     l1, l2 = l_vectors(sys, w)
+    wf = mirror(sys, PARITY_W) @ w
+    nf, (mx, my) = len(wf), sys.quarter_shape
+    nxi, nyi = sys.bcx.n_interior, sys.bcy.n_interior
     h1, h2, h3, h7, h8 = (dense_operator(sys, k) for k in (1, 2, 3, 7, 8))
-    for i in range(sys.n):
-        h1w = sum(h1[i, j] * w[j] for j in range(sys.n))
-        h2w = sum(h2[i, j] * w[j] for j in range(sys.n))
-        h3w = sum(h3[i, j] * w[j] for j in range(sys.n))
-        h7w = sum(h7[i, j] * w[j] for j in range(sys.n))
-        h8w = sum(h8[i, j] * w[j] for j in range(sys.n))
-        assert abs(l1[i] - (h7w * h1w + h8w * h2w)) <= 1e-12 * max(1.0, abs(l1[i]))
-        assert abs(l2[i] - (h8w * h3w + h7w * h2w)) <= 1e-12 * max(1.0, abs(l2[i]))
+    for a in range(mx):
+        for j in range(my):
+            q, i = a * my + j, a * nyi + j
+            h1w = sum(h1[i, k] * wf[k] for k in range(nf))
+            h2w = sum(h2[i, k] * wf[k] for k in range(nf))
+            h3w = sum(h3[i, k] * wf[k] for k in range(nf))
+            h7w = sum(h7[i, k] * wf[k] for k in range(nf))
+            h8w = sum(h8[i, k] * wf[k] for k in range(nf))
+            if a < nxi // 2:
+                assert abs(l1[q] - (h7w * h1w + h8w * h2w)) <= 1e-12 * max(1.0, abs(l1[q]))
+            else:
+                assert l1[q] == 0.0
+            if j < nyi // 2:
+                assert abs(l2[q] - (h8w * h3w + h7w * h2w)) <= 1e-12 * max(1.0, abs(l2[q]))
+            else:
+                assert l2[q] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +367,14 @@ def test_recover_inplane_zero(table1_ss):
 
 
 def test_recover_inplane_back_substitution(table1_clamped, rng):
+    """The mirrored quarter fields solve the full-grid in-plane equations."""
     sys = build_system(table1_clamped)
     w = rng.standard_normal(sys.n)
     u, v = recover_inplane(sys, w)
-    l1, l2 = l_vectors(sys, w)
-    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    full = FullGrid(sys)
+    l1, l2 = full.forcing(mirror(sys, PARITY_W) @ w)
+    u, v = mirror(sys, PARITY_U) @ u, mirror(sys, PARITY_V) @ v
+    h1, h2, h3 = full.h[1:4]
     r1 = h1 @ u + h2 @ v + l1
     r2 = h2 @ u + h3 @ v + l2
     assert np.abs(r1).max() <= 1e-10 * max(np.abs(l1).max(), 1.0)
@@ -336,24 +382,26 @@ def test_recover_inplane_back_substitution(table1_clamped, rng):
 
 
 def test_recover_inplane_matches_explicit_inverses(rng):
-    """Block solve against the textbook elimination formulas (n = 4)."""
+    """Block solve against the textbook elimination formulas on the full
+    interior (n = 4; the quarter keeps one node)."""
     spec = PlateSpec.isotropic(
         a=2.0, h=0.05, e=1e6, nu=0.3, q=1.0, nx=6, ny=6, bc=CLAMPED
     )
     sys = build_system(spec)
-    assert sys.n == 4
-    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    assert sys.bcx.n_interior * sys.bcy.n_interior == 4 and sys.n == 1
+    full = FullGrid(sys)
+    h1, h2, h3 = full.h[1:4]
     for h in (h1, h2, h3):
         assert np.linalg.cond(h) < 1e12
     w = rng.standard_normal(sys.n)
-    l1, l2 = l_vectors(sys, w)
+    l1, l2 = full.forcing(mirror(sys, PARITY_W) @ w)
     h9 = np.linalg.solve(h2, h1) - np.linalg.solve(h3, h2)
     h10 = np.linalg.solve(h1, h2) - np.linalg.solve(h2, h3)
     u_ref = np.linalg.solve(h9, np.linalg.solve(h3, l2) - np.linalg.solve(h2, l1))
     v_ref = np.linalg.solve(h10, np.linalg.solve(h2, l2) - np.linalg.solve(h1, l1))
     u, v = recover_inplane(sys, w)
-    np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(v, v_ref, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(mirror(sys, PARITY_U) @ u, u_ref, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(mirror(sys, PARITY_V) @ v, v_ref, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +411,7 @@ def test_recover_inplane_matches_explicit_inverses(rng):
 
 def test_residual_rejects_wrong_length(table1_ss):
     sys = build_system(table1_ss)
-    with pytest.raises(ValueError, match=r"length 25, got \(3,\)"):
+    with pytest.raises(ValueError, match=r"length 9, got \(3,\)"):
         residual(sys, np.zeros(3))
 
 
@@ -412,37 +460,31 @@ def test_jacobian_matches_finite_differences(
         assert np.abs(ja - jf).max() <= 1e-6 * np.abs(ja).max()
 
 
-def test_inplane_inverse_formed_once_per_system(table1_clamped, rng, monkeypatch):
-    """The first in-plane solve forms B^-1 and drops the LU; later solves,
-    Jacobians and with_load copies reuse it."""
-    formed = []
-    inverse = pm.InplaneBlock.inverse
-
-    def counting(block):
-        if block._inverse is None:
-            formed.append(block)
-        return inverse(block)
-
-    monkeypatch.setattr(pm.InplaneBlock, "inverse", counting)
+def test_inplane_inverse_formed_once_per_system(table1_clamped, rng):
+    """build_system forms B^-1; solves, Jacobians and with_load copies read
+    that one array and leave it as it is."""
     sys = build_system(table1_clamped)
+    inverse = sys.inplane_inverse
+    formed = inverse.copy()
     w = rng.standard_normal(sys.n)
     linear_solve(sys)
-    assert formed == [] and sys.inplane._inverse is None
     residual(sys, w)
-    assert formed == [sys.inplane] and sys.inplane.lu is None
-    residual(sys, 2.0 * w)
     fd_jacobian(lambda z: residual(sys, z), w)
     recover_inplane(sys, w)
     jacobian(sys, w)
     heavier = with_load(sys, 2.0 * sys.spec.q)
     residual(heavier, w)
     jacobian(heavier, w)
-    assert formed == [sys.inplane]
-    assert heavier.inplane is sys.inplane and sys.inplane.lu is None
-    n = sys.n
-    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
-    block = np.block([[h1, h2], [h2, h3]])
-    np.testing.assert_allclose(sys.inplane._inverse @ block, np.eye(2 * n), atol=1e-10)
+    assert heavier.inplane_inverse is inverse and sys.inplane_inverse is inverse
+    np.testing.assert_array_equal(inverse, formed)
+    # B^-1 of the full block folded onto the quarter, S B P: the identity on
+    # U's and V's live nodes, zero on the center lines where they vanish
+    n, s = sys.n, restrict(sys)
+    p = np.block([[mirror(sys, PARITY_U), np.zeros((len(s.T), n))],
+                  [np.zeros((len(s.T), n)), mirror(sys, PARITY_V)]])
+    folded = np.kron(np.eye(2), s) @ FullGrid(sys).block() @ p
+    live = np.diag(np.kron(np.eye(2), s) @ p)
+    np.testing.assert_allclose(inverse @ folded, np.diag(live), atol=1e-10)
 
 
 def test_jacobian_allocates_below_five_n_squared(table1_ss, rng):
@@ -463,7 +505,7 @@ def test_jacobian_allocates_below_five_n_squared(table1_ss, rng):
 def test_jacobian_swap_equivariance(table1_ss, rng):
     """Square isotropic plate: relabeling x<->y conjugates the Jacobian."""
     sys = build_system(table1_ss)
-    p = swap_permutation(sys.bcx.n_interior)
+    p = swap_permutation(sys.quarter_shape[0])
     w = rng.standard_normal(sys.n)
     lhs = jacobian(sys, p @ w)
     rhs = p @ jacobian(sys, w) @ p.T
@@ -472,7 +514,7 @@ def test_jacobian_swap_equivariance(table1_ss, rng):
 
 def test_residual_swap_equivariance(table1_ss, rng):
     sys = build_system(table1_ss)
-    p = swap_permutation(sys.bcx.n_interior)
+    p = swap_permutation(sys.quarter_shape[0])
     w = rng.standard_normal(sys.n)
     np.testing.assert_allclose(
         residual(sys, p @ w), p @ residual(sys, w), rtol=1e-10, atol=1e-8
@@ -571,6 +613,59 @@ def test_solved_fields_mirror_parity(bc, kind, grid, orthotropic_spec):
 # ---------------------------------------------------------------------------
 # cross-route equivalences
 # ---------------------------------------------------------------------------
+
+
+FOLD_GRIDS = {
+    f"{bc[:2]}-{kind[:3]}-{nx}x{ny}": dict(bc=bc, grid_kind=kind, nx=nx, ny=ny)
+    for bc in (SIMPLY_SUPPORTED, CLAMPED)
+    for kind in (CHEBYSHEV, UNIFORM)
+    for nx, ny in ((13, 11), (12, 12))
+}
+# clamped N = 5 keeps one node, where U and V vanish; N = 6 one live node each
+FOLD_GRIDS.update({f"cl-che-{m}x{m}": dict(bc=CLAMPED, nx=m, ny=m) for m in (5, 6)})
+
+
+@pytest.mark.parametrize("grid", sorted(FOLD_GRIDS))
+def test_fold_matches_full_grid_oracle(grid, orthotropic_spec, rng):
+    """At random quarter iterates W, the residual and Jacobian on the quarter
+    are the full-grid ones restricted to it: S r(P W) and S J(P W) P."""
+    sys = build_system(replace(orthotropic_spec, **FOLD_GRIDS[grid]))
+    full, p, s = FullGrid(sys), mirror(sys, PARITY_W), restrict(sys)
+    for _ in range(2):
+        w = rng.standard_normal(sys.n)
+        ref = s @ full.residual(p @ w)
+        assert np.abs(residual(sys, w) - ref).max() <= 1e-10 * np.abs(ref).max()
+        ref = s @ full.jacobian(p @ w) @ p
+        assert np.abs(jacobian(sys, w) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid", sorted(FOLD_GRIDS))
+def test_mirrored_solution_satisfies_full_grid_system(grid, orthotropic_spec):
+    """The solved quarter fields, mirrored with their parities, satisfy the
+    three full-grid equations.  The full-grid route adds its own rounding:
+    up to 1.8e-8 on the uniform grids."""
+    sol = solve_plate(replace(orthotropic_spec, **FOLD_GRIDS[grid]), tol=1e-9)
+    assert sol.report.converged
+    sys, f = sol.system, sol.field
+    r = FullGrid(sys).coupled_residual(
+        *(mirror(sys, parity) @ z for parity, z in
+          ((PARITY_W, f.w_stack), (PARITY_U, f.u_stack), (PARITY_V, f.v_stack)))
+    )
+    assert max(np.abs(x).max() for x in r) < 1e-7
+
+
+@pytest.mark.parametrize("case", ["ss", "clamped"])
+def test_inplane_condition_estimate(case, table1_ss, table1_clamped):
+    """LAPACK's rcond of B is recorded at assembly, agrees with numpy's
+    1-norm condition number of B on the live unknowns to a factor of 10, and
+    with_load keeps it."""
+    sys = build_system(table1_ss if case == "ss" else table1_clamped)
+    assert np.isfinite(sys.inplane_rcond) and 0.0 < sys.inplane_rcond <= 1.0
+    live = np.abs(sys.inplane_inverse).sum(axis=0) > 0
+    block = np.linalg.inv(sys.inplane_inverse[np.ix_(live, live)])
+    exact = 1.0 / np.linalg.cond(block, 1)
+    assert exact / 10 <= sys.inplane_rcond <= 10 * exact
+    assert with_load(sys, 2.0 * sys.spec.q).inplane_rcond == sys.inplane_rcond
 
 
 @pytest.mark.parametrize("case", ["ss", "clamped"])
