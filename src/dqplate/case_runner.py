@@ -1,8 +1,11 @@
 """Case-file driven command line: solve, sweep, bench, converge.
 
-Cases are plain JSON documents validated strictly (unknown keys rejected).
-Each run writes CSV artifacts with a header row, '.' decimals and 12
-significant digits, so outputs are comparable across implementations.
+Cases are plain JSON documents, validated strictly and in one pass by
+``parse_case``: unknown keys are rejected, and every grid the case implies
+is built as a PlateSpec, which holds the grid rules.  The run modes only
+run: a missing block is the one case error they raise.  Each run writes
+CSV artifacts with a header row, '.' decimals and 12 significant digits,
+so outputs are comparable across implementations.
 
 Exit codes: 0 success, 2 unreadable or invalid case file, 3 solver did not
 converge (the iteration report is dumped to stderr).
@@ -21,11 +24,11 @@ from time import perf_counter
 
 import numpy as np
 
-from . import dq_core, linear_bending, newton_solver, plate_model
+from . import bc_builder, dq_core, linear_bending, newton_solver, plate_model
 from .bc_builder import BC_KINDS, CLAMPED
 from .dq_core import CHEBYSHEV, UNIFORM
 from .newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC
-from .plate_model import PlateSpec
+from .plate_model import GridError, PlateSpec
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -140,10 +143,7 @@ _number = _scalar(_NUMBER, "a number")
 _positive = _scalar(_NUMBER, "a number", lambda x: x > 0, "must be positive")
 _poisson = _scalar(_NUMBER, "a number", lambda x: 0 <= x < 1, "must lie in [0, 1)")
 _count = _scalar(int, "an integer", lambda x: x >= 1, "must be at least 1")
-_grid_size = _scalar(
-    int, "an integer", lambda x: 5 <= x <= dq_core.MAX_POINTS,
-    f"must be in [5, {dq_core.MAX_POINTS}]",
-)
+_grid_size = _scalar(int, "an integer")  # PlateSpec holds the grid rules
 _boolean = _scalar(bool, "a boolean")
 # A load ladder: load_sweep warm-starts each load from the one before.
 _load_ladder = _list_of(_positive, increasing=True)
@@ -181,12 +181,15 @@ _PLATE = {
 }
 
 
-def _uniform_size(npts: int, path: str) -> None:
-    """A uniform grid's size: at most dq_core.MAX_UNIFORM_POINTS points."""
-    if npts > dq_core.MAX_UNIFORM_POINTS:
-        raise CaseError(
-            f"{path}: must be at most {dq_core.MAX_UNIFORM_POINTS} on a uniform grid"
-        )
+def _checked(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its ValueError raised as a CaseError at the
+    JSON ``path``, where "{field}" stands for the field a GridError names."""
+    try:
+        return fn(*args, **kwargs)
+    except GridError as exc:
+        raise CaseError(f"{path.format(field=exc.field)}: {exc.rule}") from exc
+    except ValueError as exc:
+        raise CaseError(f"{path}: {exc}") from exc
 
 
 def _plate(node, path) -> PlateSpec:
@@ -194,19 +197,12 @@ def _plate(node, path) -> PlateSpec:
     grid, material = fields.pop("grid"), fields.pop("material")
     if fields["b"] is None:
         fields["b"] = fields["a"]
-    if grid["kind"] == UNIFORM:
-        for key in ("nx", "ny"):
-            _uniform_size(grid[key], f"{path}.grid.{key}")
     make = PlateSpec.isotropic if "e" in material else PlateSpec
-    try:
-        spec = make(
-            nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields
-        )
-        plate_model.derive_material(spec)  # reciprocity: 1 - nu12 nu21 > 0
-    except plate_model.MaterialError as exc:
-        raise CaseError(f"{path}.material: {exc}") from exc
-    except ValueError as exc:
-        raise CaseError(f"{path}: {exc}") from exc
+    spec = _checked(
+        path + ".grid.{field}", make,
+        nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields,
+    )
+    _checked(f"{path}.material", plate_model.derive_material, spec)  # 1 - nu12 nu21 > 0
     return spec
 
 
@@ -258,19 +254,30 @@ def parse_case(path: str | Path) -> Case:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     doc = _read(doc, _CASE, "")
+    plate = doc["plate"]
     bench = doc["bench"] or _absent(_BENCH)
     conv = doc["convergence"] or _absent(_CONVERGENCE)
     ref = conv["reference"]
-    if doc["plate"].grid_kind == UNIFORM:
-        for i, npts in enumerate(bench["grids"] or []):
-            _uniform_size(npts, f"bench.grids[{i}]")
-    if UNIFORM in conv["kinds"]:
-        for i, npts in enumerate(conv["grids"] or []):
-            _uniform_size(npts, f"convergence.grids[{i}]")
-    if ref is not None and ref["kind"] == UNIFORM:
-        _uniform_size(ref["n"], "convergence.reference.n")
+    # every grid the case implies is a PlateSpec, which checks it
+    for i, npts in enumerate(bench["grids"] or []):
+        _checked(f"bench.grids[{i}]", replace, plate, nx=npts, ny=npts)
+    for kind, (i, npts) in product(conv["kinds"], enumerate(conv["grids"] or [])):
+        _checked(f"convergence.grids[{i}]", replace, plate, nx=npts, ny=npts, grid_kind=kind)
+    if ref is not None:
+        n, kind = ref["n"], ref["kind"]
+        _checked("convergence.reference.n", replace, plate, nx=n, ny=n, grid_kind=kind)
+    if conv["linear_comparison"]:
+        if len(conv["kinds"]) != 1:
+            raise CaseError(
+                "convergence.linear_comparison: needs exactly one of convergence.kinds, "
+                f"as linear_comparison.csv has no kind column; got {conv['kinds']}"
+            )
+        _checked("convergence.linear_comparison", linear_bending.isotropic_material, plate)
+        for npts in conv["grids"]:
+            grid = dq_core.make_grid(npts, conv["kinds"][0])
+            _checked("convergence.delta", bc_builder.delta_grid, grid, conv["delta"])
     return Case(
-        spec=doc["plate"],
+        spec=plate,
         solver=doc["solver"],
         sweep_loads=(doc["sweep"] or _absent(_SWEEP))["loads"],
         bench_grids=bench["grids"],
@@ -457,34 +464,10 @@ def run_convergence(case: Case, out_dir: Path) -> int:
     if case.conv_grids is None:
         raise CaseError("case has no 'convergence' block")
     loads = case.conv_loads or [case.spec.q]
+    series = linear_bending.linear_reference_center(case.spec) if case.conv_linear else None
+    builtin_name = "dqcy" if case.spec.bc == CLAMPED else "dqwb"
 
-    lin_rows = []  # first, so that a case the comparison rejects writes nothing
-    if case.conv_linear:
-        if len(case.conv_kinds) != 1:
-            raise CaseError(
-                "convergence.linear_comparison: linear_comparison.csv has no kind "
-                f"column, so the comparison needs exactly one of convergence.kinds, "
-                f"got {case.conv_kinds}"
-            )
-        (kind,) = case.conv_kinds
-        try:
-            reference_center = linear_bending.linear_reference_center(case.spec)
-        except ValueError as exc:
-            raise CaseError(f"convergence.linear_comparison: {exc}") from exc
-        builtin_name = "dqcy" if case.spec.bc == CLAMPED else "dqwb"
-        for npts in case.conv_grids:
-            spec = replace(case.spec, nx=npts, ny=npts, grid_kind=kind)
-            center_b = linear_bending.linear_center_builtin(spec)
-            try:
-                center_d = linear_bending.linear_center_delta(spec, case.conv_delta)
-            except ValueError as exc:
-                raise CaseError(f"convergence.delta: {exc} on grid {npts}") from exc
-            for scheme, center in ((builtin_name, center_b), ("delta", center_d)):
-                lin_rows.append(
-                    [scheme, npts, center, reference_center,
-                     abs(center - reference_center)]
-                )
-
+    header = ["kind", "n", "q", "center_w_over_h"]
     reference = None
     if case.conv_reference is not None:
         ref_n, ref_kind = case.conv_reference
@@ -493,11 +476,8 @@ def run_convergence(case: Case, out_dir: Path) -> int:
         if reference is None:
             print("reference grid did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-
-    header = ["kind", "n", "q", "center_w_over_h"]
-    if reference is not None:
         header.append("abs_diff_to_reference")
-    rows = []
+    rows, lin_rows = [], []
     for kind, npts in product(case.conv_kinds, case.conv_grids):
         spec = replace(case.spec, nx=npts, ny=npts, grid_kind=kind)
         res = _converge_point(spec, case.solver, loads)
@@ -509,6 +489,11 @@ def run_convergence(case: Case, out_dir: Path) -> int:
             if reference is not None:
                 row.append(abs(center - reference[k][1]))
             rows.append(row)
+        if case.conv_linear:  # on the study's one kind (parse_case)
+            center_b = linear_bending.linear_center_builtin(spec)
+            center_d = linear_bending.linear_center_delta(spec, case.conv_delta)
+            for scheme, center in ((builtin_name, center_b), ("delta", center_d)):
+                lin_rows.append([scheme, npts, center, series, abs(center - series)])
     _write_csv(out_dir / "convergence.csv", header, rows)
 
     if case.conv_linear:
@@ -554,24 +539,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # --tol, --max-iter and --jacobian pass the solver block's own checks
     given = {k: getattr(args, k) for k in _SOLVER if getattr(args, k) is not None}
-    try:
-        case = parse_case(args.case)
-        overrides = _read(given, {k: _SOLVER[k] for k in given}, "solver")
-    except CaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    case = replace(case, solver=replace(case.solver, **overrides))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     runner = {
         "solve": run_case,
         "sweep": run_sweep,
         "bench": run_bench,
         "converge": run_convergence,
     }[args.mode]
+    # exit 2 for an invalid case: its file, an override or the mode's block
     try:
+        case = parse_case(args.case)
+        overrides = _read(given, {k: _SOLVER[k] for k in given}, "solver")
+        case = replace(case, solver=replace(case.solver, **overrides))
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return runner(case, out_dir)
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ MAX_POINTS = 31
 # Uniform grids degrade sooner.  Past 21 points Newton no longer converges
 # on simply supported plates (from 23) and clamped ones (at 31), and the
 # linear-limit solves reach rcond ~1e-19 at 31, so their centers depend on
-# rounding.  Plate specs and case files stop there; make_grid does not.
+# rounding.  PlateSpec, and so every case file, stops there; make_grid does not.
 MAX_UNIFORM_POINTS = 21
 
 MIN_NODE_GAP = 1e-12

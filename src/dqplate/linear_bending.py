@@ -78,12 +78,17 @@ def series_coefficient(bc_kind: str, aspect: float = 1.0) -> float:
     raise ValueError(f"no classical reference for bc kind {bc_kind!r}")
 
 
-def linear_reference_center(spec: PlateSpec) -> float:
-    """Series-based center w/h in the linear limit of an isotropic spec."""
+def isotropic_material(spec: PlateSpec) -> plate_model.DerivedMaterial:
+    """The spec's material; ValueError unless d1 = d2 = d3, as the series assume."""
     mat = plate_model.derive_material(spec)
-    # the series references assume one bending rigidity: d1 = d2 = d3
     if abs(mat.d2 - mat.d1) > 1e-9 * mat.d1 or abs(mat.d3 - mat.d1) > 1e-9 * mat.d1:
         raise ValueError("linear comparison references require an isotropic spec")
+    return mat
+
+
+def linear_reference_center(spec: PlateSpec) -> float:
+    """Series-based center w/h in the linear limit of an isotropic spec."""
+    mat = isotropic_material(spec)
     return series_coefficient(spec.bc, spec.a / spec.b) * plate_model.load_scale(spec, mat)
 
 

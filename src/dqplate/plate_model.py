@@ -52,7 +52,7 @@ from numpy import kron
 from scipy.linalg import blas, lapack, solve
 
 from . import bc_builder, dq_core
-from .bc_builder import BC_KINDS, BoundaryOperatorSet
+from .bc_builder import BC_KINDS, CLAMPED, BoundaryOperatorSet
 from .dq_core import CHEBYSHEV, GRID_KINDS, UNIFORM
 
 
@@ -68,6 +68,14 @@ class DecouplingError(RuntimeError):
     """The in-plane block system is numerically singular."""
 
 
+class GridError(ValueError):
+    """A grid size that PlateSpec refuses: ``field`` (nx or ny) breaks ``rule``."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field, self.rule = field, rule
+
+
 def _check_poisson(nu12: float) -> None:
     if not 0 <= nu12 < 1:
         raise ValueError("nu12 must lie in [0, 1)")
@@ -78,7 +86,8 @@ class PlateSpec:
     """Physical description of one plate case.
 
     Lengths and moduli in any consistent unit system; ``bc`` applies to all
-    four edges.  ``nx``/``ny`` are grid point counts per direction.
+    four edges.  ``nx``/``ny`` are grid point counts per direction; every
+    grid rule of the program is checked here.
     """
 
     a: float
@@ -111,10 +120,16 @@ class PlateSpec:
         top = dq_core.MAX_UNIFORM_POINTS if self.grid_kind == UNIFORM else dq_core.MAX_POINTS
         for name in ("nx", "ny"):
             npts = getattr(self, name)
+            if not float(npts).is_integer():
+                raise GridError(name, f"must be an integer, got {npts}")
+            object.__setattr__(self, name, int(npts))
             if not 5 <= npts <= top:
-                raise ValueError(
-                    f"{name} must be in [5, {top}] on a {self.grid_kind} grid, got {npts}"
+                raise GridError(
+                    name, f"must be in [5, {top}] on a {self.grid_kind} grid, got {npts}"
                 )
+        if self.bc == CLAMPED and self.nx == self.ny == 5:
+            # the one interior node, the center, carries no membrane action
+            raise GridError("nx", "must not be 5 on a clamped plate with ny = 5")
 
     @classmethod
     def isotropic(
@@ -360,17 +375,16 @@ def assemble(
     # B = [[H1, H2], [H2, H3]] on U and V, each column block folded by its
     # field's parity.  Its rows and columns on U's center x-line and V's
     # center y-line are zero, and so are U and V there: B is inverted on
-    # the other unknowns.  Clamped N = 5 leaves none.
+    # the other unknowns.
     block = np.zeros((2, n, 2, n))
     for k, rows, cols in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)):
         px, py = (PARITY_U, PARITY_V)[cols]
         block[rows, :, cols] = _kron_sum(terms[k], fx[px], fy[py])
     live = np.ones((2, nx, ny), dtype=bool)
     live[0, bcx.n_interior // 2:] = live[1, :, bcy.n_interior // 2:] = False
-    inverse, rcond = np.zeros((2 * n, 2 * n)), 1.0
-    if live.any():
-        live = np.ix_(live.ravel(), live.ravel())
-        inverse[live], rcond = _invert_inplane(block.reshape(2 * n, 2 * n)[live])
+    live = np.ix_(live.ravel(), live.ravel())
+    inverse = np.zeros((2 * n, 2 * n))
+    inverse[live], rcond = _invert_inplane(block.reshape(2 * n, 2 * n)[live])
 
     return AssembledSystem(
         spec, mat, bcx, bcy,

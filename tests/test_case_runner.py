@@ -105,6 +105,14 @@ def with_material(material):
     return doc
 
 
+def clamped(doc):
+    doc["plate"]["bc"] = "clamped"
+    return doc
+
+
+ORTHOTROPIC = {"e1": 18.7e6, "e2": 1.3e6, "nu12": 0.3, "g12": 0.6e6}
+
+
 @pytest.mark.parametrize(
     "doc, path",
     [
@@ -158,13 +166,30 @@ def with_material(material):
             with_block(convergence={"grids": [7], "reference": {"n": 31, "kind": "uniform"}}),
             "convergence.reference.n",
         ),
+        (
+            {**with_material(ORTHOTROPIC),
+             "convergence": {"grids": [7], "linear_comparison": True}},
+            "convergence.linear_comparison",
+        ),
+        (
+            with_block(convergence={"grids": [7], "kinds": ["chebyshev", "uniform"],
+                                    "linear_comparison": True}),
+            "convergence.linear_comparison",
+        ),
+        (
+            with_block(convergence={"grids": [7, 9], "linear_comparison": True, "delta": 0.2}),
+            "convergence.delta",
+        ),
+        (clamped(with_grid(nx=5, ny=5)), "plate.grid.nx"),
+        (clamped(with_block(bench={"grids": [5]})), "bench.grids[0]"),
     ],
     ids=["empty-loads", "zero-repeats", "non-boolean", "reference-without-n",
          "bad-jacobian", "mixed-material", "poisson-minus-one", "grid-too-small",
          "unhashable-kind", "zero-max-iter", "infinite-load", "decreasing-sweep-loads",
          "repeated-convergence-loads", "non-reciprocal-orthotropic", "nu12-above-one",
          "uniform-nx", "uniform-ny", "uniform-bench-grid", "uniform-study-grid",
-         "uniform-reference"],
+         "uniform-reference", "orthotropic-comparison", "two-kind-comparison",
+         "delta-past-second-node", "clamped-5x5", "clamped-bench-5x5"],
 )
 def test_invalid_field_names_its_path(tmp_path, doc, path):
     with pytest.raises(CaseError) as err:

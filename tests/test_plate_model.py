@@ -20,6 +20,7 @@ from dqplate.plate_model import (
     PARITY_W,
     AssemblyError,
     DecouplingError,
+    GridError,
     MaterialError,
     PlateSpec,
     assemble,
@@ -132,6 +133,26 @@ def test_spec_limits_uniform_grids():
     for name, (nx, ny) in (("nx", (top + 2, top)), ("ny", (top, top + 2))):
         with pytest.raises(ValueError, match=rf"^{name} must be in \[5, {top}\]"):
             PlateSpec.isotropic(**args, nx=nx, ny=ny, grid_kind=UNIFORM)
+
+
+def test_spec_refuses_grids_it_cannot_solve():
+    """Clamped 5x5 has one interior node, the center, and no membrane action;
+    a non-integral size would build a skewed grid.  Clamped 5x9 is solved with
+    membrane action, and integral floats and numpy integers are sizes."""
+    args = dict(a=100.0, h=1.0, e=2.1e6, nu=0.316, q=300.0, bc=CLAMPED)
+    with pytest.raises(GridError, match="^nx must not be 5 on a clamped plate") as err:
+        PlateSpec.isotropic(**args, nx=5, ny=5)
+    assert err.value.field == "nx"
+    for nx, ny, name in ((7.5, 7, "nx"), (7, 7.5, "ny")):
+        with pytest.raises(GridError, match=f"^{name} must be an integer, got 7.5"):
+            PlateSpec.isotropic(**args, nx=nx, ny=ny)
+    for npts in (7.0, np.int64(7)):
+        spec = PlateSpec.isotropic(**args, nx=npts, ny=npts)
+        assert type(spec.nx) is type(spec.ny) is int and spec.nx == spec.ny == 7
+    sol = solve_plate(PlateSpec.isotropic(**args, nx=5, ny=9))
+    # the linear center at q = 300 is 120.6 on 5x5; 9x9 gives 6.22
+    assert sol.report.converged and sol.report.iterations > 0
+    assert sol.field.center_deflection_ratio == pytest.approx(6.347, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +642,9 @@ FOLD_GRIDS = {
     for kind in (CHEBYSHEV, UNIFORM)
     for nx, ny in ((13, 11), (12, 12))
 }
-# clamped N = 5 keeps one node, where U and V vanish; N = 6 one live node each
-FOLD_GRIDS.update({f"cl-che-{m}x{m}": dict(bc=CLAMPED, nx=m, ny=m) for m in (5, 6)})
+# clamped 5x9: x keeps one node, the center, where U vanishes, so U has no
+# live node and V has some; 6x6: one live node each
+FOLD_GRIDS.update({f"cl-che-{m}x{n}": dict(bc=CLAMPED, nx=m, ny=n) for m, n in ((5, 9), (6, 6))})
 
 
 @pytest.mark.parametrize("grid", sorted(FOLD_GRIDS))
