@@ -273,7 +273,7 @@ def parse_case(path: str | Path) -> Case:
                 f"as linear_comparison.csv has no kind column; got {conv['kinds']}"
             )
         _checked("convergence.linear_comparison", linear_bending.isotropic_material, plate)
-        for npts in conv["grids"]:
+        for npts in sorted(conv["grids"], reverse=True):  # the tightest bound first
             grid = dq_core.make_grid(npts, conv["kinds"][0])
             _checked("convergence.delta", bc_builder.delta_grid, grid, conv["delta"])
     return Case(

@@ -470,6 +470,14 @@ def test_converge_delta_too_large_names_its_path(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_delta_error_gives_the_tightest_bound(tmp_path):
+    """delta is checked on the largest grid first, whose second node is the
+    smallest: 0.0603 on Chebyshev 9, where 7 gives 0.0990."""
+    doc = with_block(convergence={"grids": [7, 9], "linear_comparison": True, "delta": 0.1})
+    with pytest.raises(CaseError, match=r"^convergence\.delta: .* < 0\.0603"):
+        parse_case(write_case(tmp_path, doc))
+
+
 def _comparison_case(kinds):
     doc = json.loads((Path(__file__).parent.parent / "cases" / "linear_bc_comparison.json").read_text())
     doc["convergence"].update(grids=[7], kinds=kinds)
