@@ -100,7 +100,8 @@ def linear_center_builtin(spec: PlateSpec) -> float:
     fx, fy = (plate_model.fold(ops)[plate_model.EVEN] for ops in (x, y))
     op = plate_model.bending_operator(spec, mat, fx, fy)
     w = plate_model.solve_bending(op, np.full(len(op), plate_model.load_scale(spec, mat)))
-    full = plate_model.full_grid(x, y, w, plate_model.PARITY_W)
+    maps = map(plate_model.recovery_maps, (x, y))
+    full = plate_model.full_grid(*maps, w, plate_model.PARITY_W)
     return plate_model._interp_center(full, x.grid.nodes, y.grid.nodes)
 
 

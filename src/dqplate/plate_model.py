@@ -32,9 +32,9 @@ in-plane block, which LAPACK factors, are made dense.  Each nonlinear term
 is written once: ``_FORCING`` lists the in-plane right-hand side's products
 (A W) o (B W), and ``_transverse_terms`` the three transverse terms
 c (S W) o e.  The residual and the coupled residual evaluate them; the
-Jacobian differentiates them into row-scaled (SJT) operator copies and
-applies every operator through its 1-D factors, using the same in-plane
-inverse as the residual.
+Jacobian differentiates them into row-scaled (SJT) operator copies, their
+coefficients in one table, and applies every operator through its 1-D
+factors, using the same in-plane inverse as the residual.
 Every BLAS and LAPACK call of the Newton iteration goes through scipy.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
@@ -277,8 +277,9 @@ class AssembledSystem:
     over the folded factor stacks ``factors`` = (X, Y), where X[p] holds the
     factors for an operand of x parity p (see ``fold``).  ``x_mix`` and
     ``y_all`` lay the same terms out for ``_products``, per parity: every
-    Y^T side by side, and per operator and y factor the sum of c X.  ``h4``,
-    H4 written from its terms, serves the linear solve and is the
+    Y^T side by side, and per operator and y factor the sum of c X;
+    ``jac_table`` does so for ``jacobian`` (see ``_jacobian_table``).  H4,
+    written from its terms as ``h4``, serves the linear solve and is the
     Jacobian's base.  ``inplane_inverse`` is B^-1, formed once, with zero
     rows and columns on the odd classes' center lines; ``inplane_rcond`` is
     LAPACK's estimate of B's reciprocal condition number in the 1-norm.
@@ -293,6 +294,7 @@ class AssembledSystem:
     terms: tuple = field(repr=False)
     x_mix: np.ndarray = field(repr=False)
     y_all: np.ndarray = field(repr=False)
+    jac_table: np.ndarray = field(repr=False)
     load: np.ndarray
     n: int
     alpha: float
@@ -367,6 +369,8 @@ def assemble(
         ((ex, _D1, _ID),),                                                   # H7
         ((ey, _ID, _D1),),                                                   # H8
     )
+    alpha = a**4 / (mat.mu * mat.d1 * h)
+    betas = ((a / h) ** 2, (b / h) ** 2, 2.0 * mat.mu * spec.g12 / mat.c)  # c of each term
     x_mix = np.zeros((2, 8, nx, 4, nx))
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
@@ -393,12 +397,13 @@ def assemble(
         terms=terms,
         x_mix=x_mix.reshape(2, 8, nx, -1),
         y_all=fy.transpose(0, 3, 1, 2).reshape(2, ny, -1),
+        jac_table=_jacobian_table(terms, alpha, betas),
         load=load_scale(spec, mat) * np.ones(n),
         n=n,
-        alpha=a**4 / (mat.mu * mat.d1 * h),
-        beta_x=(a / h) ** 2,
-        beta_y=(b / h) ** 2,
-        gamma=2.0 * mat.mu * spec.g12 / mat.c,
+        alpha=alpha,
+        beta_x=betas[0],
+        beta_y=betas[1],
+        gamma=betas[2],
         inplane_inverse=inverse,
         inplane_rcond=rcond,
     )
@@ -460,12 +465,28 @@ def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> n
 # (A W) o (B W), given as pairs of operator indices (0 is H1, ..., 7 is H8).
 # A product's W-derivative is the SJT pair diag(B W) A + diag(A W) B.
 _FORCING = (((6, 0), (7, 1)), ((7, 2), (6, 1)))
-# dl/dW by operator: k -> [(b, j)] for each diag(H_j W) H_k in block b.
-_DL_PARTS = {
-    k: [(b, j) for b, block in enumerate(_FORCING) for pair in block
-        for j, kk in (pair, pair[::-1]) if kk == k]
-    for k in (6, 7, 0, 1, 2)
-}
+# The stress operators of the transverse terms c (H_k W) o e: H5, H6, H2.
+_STRESS = (4, 5, 1)
+
+
+def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
+    """The Jacobian's coefficients [x factor, slot, y factor, source], (27, 13),
+    over the factors I, D1, D2 and the sources H_j W (j < 8), e1, e2, e3, q7
+    and q8 (see ``jacobian``).  A part a diag(v) H_k in a slot adds a c at
+    [X, slot, Y, v] for each term c kron(X, Y) of H_k.  The parts: alpha
+    diag(H_j W) H_k in yt's half b for each (H_j W) o (H_k W) of block b of
+    ``_FORCING``; in the block diagonal, -alpha c diag(e) H_k for each
+    transverse term c (H_k W) o e, c in ``betas``, -alpha diag(q7) H7 and
+    -alpha diag(q8) H8.  The load enters nowhere: ``with_load`` copies share it."""
+    parts = [(j, b, k, alpha) for b, block in enumerate(_FORCING) for pair in block
+             for j, k in (pair, pair[::-1])]
+    parts += [(8 + s, 2, k, -alpha * c)
+              for s, (c, k) in enumerate(zip(betas + (1.0, 1.0), _STRESS + (6, 7)))]
+    table = np.zeros((3, 3, 3, 13))
+    for source, slot, k, a in parts:
+        for c, ix, iy in terms[k]:
+            table[ix, slot, iy, source] += a * c
+    return table.reshape(27, 13)
 
 
 def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
@@ -487,11 +508,8 @@ def _transverse_terms(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray):
     h7u, h8u = _products(sys, uv[0], PARITY_U, slice(6, 8))
     h7v, h8v = _products(sys, uv[1], PARITY_V, slice(6, 8))
     h7w, h8w = hw[6], hw[7]
-    return (
-        (sys.beta_x, 4, h7u + 0.5 * h7w**2),
-        (sys.beta_y, 5, h8v + 0.5 * h8w**2),
-        (sys.gamma, 1, h8u + h7v + h7w * h8w),
-    )
+    strains = (h7u + 0.5 * h7w**2, h8v + 0.5 * h8w**2, h8u + h7v + h7w * h8w)
+    return tuple(zip((sys.beta_x, sys.beta_y, sys.gamma), _STRESS, strains))
 
 
 def _transverse(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -526,9 +544,7 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     in place.
     """
     w = _check_size(sys, w)
-    n, alpha = sys.n, sys.alpha
-    nx, ny = sys.quarter_shape
-    lines = [slice(i * ny, (i + 1) * ny) for i in range(nx)]
+    n, (nx, ny) = sys.n, sys.quarter_shape
     hw = _products(sys, w, PARITY_W)
     terms = _transverse_terms(sys, hw, _inplane_fields(sys, hw))
     p1, p2, p3 = (c * hw[k] for c, k, _ in terms)
@@ -560,44 +576,27 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     del y
 
     # J^T = H4^T + M_I + kron(D1_x^T, I) M_1 + kron(D2_x^T, I) M_2, one M per
-    # x factor of the operators' terms, at its index (only H4 uses D4).
-    # A term c kron(X, Y) of an operator adds to M_X, on each x-line block i,
-    # parts with the factor c Y^T diag(v_i) (c diag(v_i) when Y = I):
-    #   - J's row-scaled operators diag(v) H add it on the block diagonal;
-    #   - alpha Y dl/dW = sum_k M_k H_k, with M_k = alpha sum Y_b diag(H_j W)
-    #     over (b, j) in _DL_PARTS[k], adds it times yt[i, b], v = alpha H_j W.
+    # x factor X of the operators' terms (only H4 uses D4).  On x-line block
+    # i, M_X is f[i, X] times yt[i]'s two halves plus the block diagonal
+    # d[i, X], each a sum over the y factors Y of Y^T diag(v_i) (diag(v_i) for
+    # Y = I), v the sources combined by the table: one product, one einsum.
     q7, q8 = p1 * hw[6] + p3 * hw[7], p2 * hw[7] + p3 * hw[6]
-    row_scaled = [(k, -alpha * c * e) for c, k, e in terms]
-    row_scaled += [(6, -alpha * q7), (7, -alpha * q8)]
-    f = np.zeros((nx, 3, ny, 2, ny))  # per block and M: factors of yt[i, 0], yt[i, 1]
-    d = np.zeros((nx, 3, ny, ny))  # per block and M: the block diagonal
-
-    def add(g, c, iy, v):  # g[i] += c Y^T diag(v_i), or c diag(v_i) when Y = I
-        v = c * v.reshape(nx, 1, ny)
-        if iy == _ID:
-            np.einsum("ijj->ij", g)[...] += v[:, 0]
-        else:
-            g += fy[EVEN, iy].T * v
-
-    for k, v in row_scaled:
-        for c, ix, iy in sys.terms[k]:
-            add(d[:, ix], c, iy, v)
-    for k, parts in _DL_PARTS.items():
-        for c, ix, iy in sys.terms[k]:
-            for b, j in parts:
-                add(f[:, ix, :, b], alpha * c, iy, hw[j])
+    v = _matmul(sys.jac_table, np.concatenate((hw, (*(e for _, _, e in terms), q7, q8))))
+    g = np.einsum("ylr,xsyil->ixrsl", fy[EVEN, :3], v.reshape(3, 3, 3, nx, ny))
+    del v
+    f, d = g[:, :, :, :2], g[:, :, :, 2]
 
     # M_I goes straight into J^T.  M_1 and M_2 take the place of yt, block by
     # block, as its two halves: one product then applies D1_x^T and D2_x^T.
     jt = np.empty((n, n))
     np.copyto(jt, sys.h4.T)
-    for i, rows in enumerate(lines):
+    for i in range(nx):
         z = yt[i].reshape(2 * ny, n)
-        _matmul(f[i, 0].reshape(ny, 2 * ny), z, out=jt[rows], beta=1.0)
+        _matmul(f[i, 0].reshape(ny, 2 * ny), z, out=jt[i * ny:(i + 1) * ny], beta=1.0)
         z[...] = _matmul(f[i, 1:].reshape(2 * ny, 2 * ny), z)
     np.einsum("ajak->ajk", jt.reshape(nx, ny, nx, ny))[...] += d[:, 0]
     np.einsum("igjik->igjk", yt.reshape(nx, 2, ny, nx, ny))[...] += d[:, 1:]
-    x_factors = fx[EVEN, [_D1, _D2]].transpose(2, 1, 0).reshape(nx, 2 * nx)
+    x_factors = fx[EVEN, _D1:_D2 + 1].transpose(2, 1, 0).reshape(nx, 2 * nx)
     _matmul(x_factors, yt.reshape(2 * nx, -1), out=jt.reshape(nx, -1), beta=1.0)
     return jt.T
 
@@ -703,14 +702,15 @@ def _interp_center(values: np.ndarray, xn: np.ndarray, yn: np.ndarray) -> float:
     )
 
 
-def full_grid(bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet, f, parity) -> np.ndarray:
-    """Quarter field f of the given parity on the full grid: mirrored with
-    its parity's signs, boundary conditions built back in.  R_x P_x F P_y^T
-    R_y^T, with F the (x, y) array of f, P the mirror maps and R the
-    recovery maps."""
-    rx, ry = (
-        ops.recovery @ mirror_maps(ops.n_interior)[p] for ops, p in zip((bcx, bcy), parity)
-    )
+def recovery_maps(ops: BoundaryOperatorSet) -> np.ndarray:
+    """R P_even and R P_odd, (2, m, k): one direction's mirror maps, then R."""
+    return ops.recovery @ mirror_maps(ops.n_interior)
+
+
+def full_grid(mx: np.ndarray, my: np.ndarray, f, parity) -> np.ndarray:
+    """Quarter field f of the given parity on the full grid, R_x P_x F P_y^T
+    R_y^T from the ``recovery_maps`` mx and my, F the (x, y) array of f."""
+    rx, ry = mx[parity[0]], my[parity[1]]
     return rx @ f.reshape(rx.shape[1], ry.shape[1]) @ ry.T
 
 
@@ -722,8 +722,9 @@ def recover_fields(
 ) -> SolutionField:
     """Map quarter vectors to physical full-grid fields."""
     w = _check_size(sys, w)
+    maps = recovery_maps(sys.bcx), recovery_maps(sys.bcy)
     w_full, u_full, v_full = (
-        full_grid(sys.bcx, sys.bcy, f, parity)
+        full_grid(*maps, f, parity)
         for f, parity in ((w, PARITY_W), (u, PARITY_U), (v, PARITY_V))
     )
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from dqplate.newton_solver import (
     FINITE_DIFFERENCE,
@@ -55,6 +56,29 @@ def test_singular_jacobian_reported():
     )
     assert not report.converged
     assert "singular" in report.failure
+
+
+def test_rank_deficient_jacobian_reported():
+    """An exactly singular J ([[1, 2], [2, 4]], a zero pivot) ends the run
+    with a report, as scipy.linalg.solve's LinAlgError did."""
+    w, report = newton(
+        lambda x: np.ones(2),
+        lambda x: np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.zeros(2),
+    )
+    assert not report.converged
+    assert report.failure == "singular Jacobian at iteration 0"
+
+
+def test_ill_conditioned_jacobian_warns():
+    """An rcond below LAPACK's lamch('E') warns, as scipy.linalg.solve does."""
+    with pytest.warns(LinAlgWarning):
+        newton(
+            lambda x: np.ones(2),
+            lambda x: np.array([[1.0, 0.0], [0.0, 1e-20]]),
+            np.zeros(2),
+            max_iter=1,
+        )
 
 
 def test_iteration_budget_reported():

@@ -508,6 +508,17 @@ def test_inplane_inverse_formed_once_per_system(table1_clamped, rng):
     np.testing.assert_allclose(inverse @ folded, np.diag(live), atol=1e-10)
 
 
+def test_load_copy_jacobian_matches_fresh_build(orthotropic_spec, rng):
+    """The Jacobian's coefficient table does not depend on the load: a
+    with_load copy, which shares it, gives the Jacobian of a fresh build."""
+    spec = replace(orthotropic_spec, bc=CLAMPED, nx=9, ny=7)
+    sys = build_system(spec)
+    heavier = with_load(sys, 3.0 * spec.q)
+    fresh = build_system(replace(spec, q=3.0 * spec.q))
+    w = rng.standard_normal(sys.n)
+    np.testing.assert_array_equal(jacobian(heavier, w), jacobian(fresh, w))
+
+
 def test_jacobian_allocates_below_five_n_squared(table1_ss, rng):
     """Once B^-1 exists, one N = 21 Jacobian allocates under 5 n^2 doubles,
     the returned J included."""

@@ -89,8 +89,9 @@ def test_row_scale_equals_diagonal_product(rng):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian rules in the row_scale form plate_model.jacobian uses, against
-# brute-force differencing
+# Jacobian rules, against brute-force differencing, in the row_scale form of
+# the full-grid oracle; plate_model.jacobian takes the same row scalings
+# from its coefficient table
 # ---------------------------------------------------------------------------
 
 
