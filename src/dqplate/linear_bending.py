@@ -20,11 +20,10 @@ also gives the Newton start.
 from __future__ import annotations
 
 import numpy as np
-from numpy import kron
 
 from . import bc_builder, dq_core, plate_model
 from .bc_builder import CLAMPED, SIMPLY_SUPPORTED
-from .plate_model import PlateSpec
+from .plate_model import PlateSpec, kron
 
 
 def navier_ss_coefficient(aspect: float = 1.0, terms: int = 120) -> float:

@@ -1,7 +1,7 @@
 """Newton iteration with a pluggable Jacobian strategy, plus plate drivers.
 
-The iteration is plain Newton with an LU solve per step (LAPACK's getrf,
-gecon and getrs), which factors the Jacobian in place and never forms its
+The iteration is plain Newton with an LU solve per step (``plate_model.lu_solve``:
+getrf, gecon, getrs), which factors the Jacobian in place and never forms its
 inverse.  It runs on the symmetric quarter's unknowns (see ``plate_model``).
 The constant in-plane block's inverse is formed when the system is
 assembled: the residual applies it as one product, and the analytic
@@ -14,13 +14,11 @@ Convergence is measured on the max-norm of the residual, default tolerance 1e-5.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack
 
 from . import plate_model
 from .plate_model import AssembledSystem, PlateSpec, SolutionField
@@ -102,7 +100,7 @@ def newton(
 
         t0 = perf_counter()
         try:
-            step = _lu_solve(jac, r)
+            step = plate_model.lu_solve(jac, r)
         except np.linalg.LinAlgError:
             report.linear_time += perf_counter() - t0
             report.failure = f"singular Jacobian at iteration {report.iterations}"
@@ -137,21 +135,6 @@ def newton(
     if not report.converged:
         report.failure = f"no convergence in {max_iter} iterations"
     return w, report
-
-
-def _lu_solve(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """J^-1 r by getrf, gecon and getrs in scipy's LAPACK (see ``plate_model._matmul``)
-    with ``scipy.linalg.solve``'s checks: a singular J raises ``LinAlgError``, an
-    rcond below lamch('E') warns.  J is a temporary, factored in place if Fortran-ordered."""
-    anorm = lapack.dlange("1", jac)
-    lu, piv, info = lapack.dgetrf(jac, overwrite_a=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    rcond, _ = lapack.dgecon(lu, anorm)
-    if rcond < lapack.dlamch("E"):
-        msg = f"Ill-conditioned matrix (rcond={rcond:.6g}): result may not be accurate."
-        warnings.warn(msg, LinAlgWarning, stacklevel=2)
-    return lapack.dgetrs(lu, piv, r)[0]
 
 
 def fd_jacobian(residual_fn: ResidualFn, w: np.ndarray) -> np.ndarray:

@@ -26,16 +26,17 @@ vanish, so the elementwise products stay pointwise; ``full_grid`` mirrors
 a field back with its parity's signs.
 
 Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
-folded matrices and is kept only as these terms, every product H_k Z
-going through the 1-D factors (sum factorization); only H4 and the
-in-plane block, which LAPACK factors, are made dense.  Each nonlinear term
-is written once: ``_FORCING`` lists the in-plane right-hand side's products
-(A W) o (B W), and ``_transverse_terms`` the three transverse terms
-c (S W) o e.  The residual and the coupled residual evaluate them; the
-Jacobian differentiates them into row-scaled (SJT) operator copies, their
-coefficients in one table, and applies every operator through its 1-D
-factors, using the same in-plane inverse as the residual.
-Every BLAS and LAPACK call of the Newton iteration goes through scipy.
+folded matrices and is kept only as these terms, every product H_k Z going
+through the 1-D factors (sum factorization); only H4 and the in-plane block
+B, which LAPACK factors, are made dense by ``kron``, B only on the unknowns
+that parity leaves live.  Each nonlinear term is written once: ``_FORCING``
+lists the in-plane right-hand side's products (A W) o (B W), and
+``_transverse_terms`` the three transverse terms c (S W) o e.  The residual
+and the coupled residual evaluate them; the Jacobian differentiates them
+into row-scaled (SJT) operator copies, their coefficients in one table, and
+applies every operator through its 1-D factors, using the same in-plane
+inverse as the residual.  Every BLAS and LAPACK call of the Newton
+iteration goes through scipy, and every dense solve through ``lu_solve``.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
 equilibrium equations, H2 the mixed-derivative coupling block, H4 the
@@ -45,11 +46,11 @@ membrane forces, H7/H8 the scaled first-derivative maps along x and y.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy import kron
-from scipy.linalg import blas, lapack, solve
+from scipy.linalg import LinAlgWarning, blas, lapack
 
 from . import bc_builder, dq_core
 from .bc_builder import BC_KINDS, CLAMPED, BoundaryOperatorSet
@@ -255,9 +256,18 @@ def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
     )
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.kron of two matrices, bitwise, as one broadcast product."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def _kron_sum(terms, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``."""
-    return sum(kron(c * fx[ix], fy[iy]) for c, ix, iy in terms)
+    out = 0.0  # the first term adds a new array, the others add in place
+    for c, ix, iy in terms:
+        out += kron(c * fx[ix], fy[iy])
+    return out
 
 
 def bending_operator(spec: PlateSpec, mat: DerivedMaterial, fx, fy) -> np.ndarray:
@@ -280,9 +290,10 @@ class AssembledSystem:
     Y^T side by side, and per operator and y factor the sum of c X;
     ``jac_table`` does so for ``jacobian`` (see ``_jacobian_table``).  H4,
     written from its terms as ``h4``, serves the linear solve and is the
-    Jacobian's base.  ``inplane_inverse`` is B^-1, formed once, with zero
-    rows and columns on the odd classes' center lines; ``inplane_rcond`` is
-    LAPACK's estimate of B's reciprocal condition number in the 1-norm.
+    Jacobian's base.  ``inplane_inverse`` is B^-1, formed once on the live
+    unknowns and laid out on all 2n, zero on U's and V's center lines;
+    ``inplane_rcond`` is LAPACK's estimate of B's reciprocal condition
+    number in the 1-norm.
     """
 
     spec: PlateSpec
@@ -315,7 +326,7 @@ def _invert_inplane(b: np.ndarray) -> tuple[np.ndarray, float]:
     condition number.  B^T is B's Fortran-ordered view, so one buffer holds
     B, then the LU of B^T, then B^-T, whose transpose is B^-1."""
     bt = b.T
-    anorm = np.abs(bt).sum(axis=0).max()  # 1-norm of B^T
+    anorm = lapack.dlange("1", bt)  # 1-norm of B^T, with no |B| temporary
     lu, piv, _ = lapack.dgetrf(bt, overwrite_a=True)
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
@@ -375,24 +386,28 @@ def assemble(
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
             x_mix[:, k, :, iy] += c * fx[:, ix]
+    h4 = _kron_sum(terms[3], fx[EVEN], fy[EVEN])
 
-    # B = [[H1, H2], [H2, H3]] on U and V, each column block folded by its
-    # field's parity.  Its rows and columns on U's center x-line and V's
-    # center y-line are zero, and so are U and V there: B is inverted on
-    # the other unknowns.
-    block = np.zeros((2, n, 2, n))
-    for k, rows, cols in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)):
-        px, py = (PARITY_U, PARITY_V)[cols]
-        block[rows, :, cols] = _kron_sum(terms[k], fx[px], fy[py])
-    live = np.ones((2, nx, ny), dtype=bool)
-    live[0, bcx.n_interior // 2:] = live[1, :, bcy.n_interior // 2:] = False
-    live = np.ix_(live.ravel(), live.ravel())
-    inverse = np.zeros((2 * n, 2 * n))
-    inverse[live], rcond = _invert_inplane(block.reshape(2 * n, 2 * n)[live])
+    # B = [[H1, H2], [H2, H3]], each column block folded by its field's parity,
+    # on the live unknowns only: U is zero on its center x-line and V on its
+    # center y-line, so field f lives on its first live[f] (x-lines, y-points).
+    live = ((bcx.n_interior // 2, ny), (nx, bcy.n_interior // 2))
+    cut = live[0][0] * ny
+    at = (slice(cut), slice(cut, None))  # U's and V's unknowns in B
+    blocks = ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1))  # terms[k] at rows r, columns c
+    block = np.empty((cut + nx * live[1][1],) * 2)
+    for k, r, c in blocks:
+        (rx, ry), (cx, cy), (px, py) = live[r], live[c], (PARITY_U, PARITY_V)[c]
+        block[at[r], at[c]] = _kron_sum(terms[k], fx[px, :, :rx, :cx], fy[py, :, :ry, :cy])
+    b_inv, rcond = _invert_inplane(block)
+    inverse = np.zeros((2, nx, ny, 2, nx, ny))  # B^-1, zero on the center lines
+    for _, r, c in blocks:
+        (rx, ry), (cx, cy) = live[r], live[c]
+        inverse[r, :rx, :ry, c, :cx, :cy] = b_inv[at[r], at[c]].reshape(rx, ry, cx, cy)
 
     return AssembledSystem(
         spec, mat, bcx, bcy,
-        h4=_kron_sum(terms[3], fx[EVEN], fy[EVEN]),
+        h4=h4,
         factors=(fx, fy),
         terms=terms,
         x_mix=x_mix.reshape(2, 8, nx, -1),
@@ -404,7 +419,7 @@ def assemble(
         beta_x=betas[0],
         beta_y=betas[1],
         gamma=betas[2],
-        inplane_inverse=inverse,
+        inplane_inverse=inverse.reshape(2 * n, 2 * n),
         inplane_rcond=rcond,
     )
 
@@ -626,6 +641,19 @@ def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return _transverse(sys, hw, _inplane_fields(sys, hw))
 
 
+def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """a^-1 rhs by scipy's getrf, gecon and getrs: a singular a raises LinAlgError,
+    an rcond below lamch('E') warns.  A Fortran-ordered a is factored in place."""
+    anorm = lapack.dlange("1", a)
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    rcond, _ = lapack.dgecon(lu, anorm)
+    if rcond < lapack.dlamch("E"):
+        warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g})", LinAlgWarning, stacklevel=2)
+    return lapack.dgetrs(lu, piv, rhs)[0]
+
+
 def solve_bending(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """op W = rhs with each row scaled to unit max-norm first, which lifts the
     auxiliary-point system's rcond from about 1e-19 to 1e-9.  The scaled copy
@@ -633,7 +661,7 @@ def solve_bending(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = np.abs(op).max(axis=1)
     scale[scale == 0] = 1.0  # a zero row stays zero, and the LU reports it singular
     try:
-        return solve(np.divide(op, scale[:, None], order="F"), rhs / scale, overwrite_a=True)
+        return lu_solve(np.divide(op, scale[:, None], order="F"), rhs / scale)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("singular bending operator") from exc
 

@@ -71,8 +71,9 @@ def test_rank_deficient_jacobian_reported():
 
 
 def test_ill_conditioned_jacobian_warns():
-    """An rcond below LAPACK's lamch('E') warns, as scipy.linalg.solve does."""
-    with pytest.warns(LinAlgWarning):
+    """An rcond below LAPACK's lamch('E') warns, as scipy.linalg.solve does,
+    and the message gives rcond itself: 1e-20 for diag(1, 1e-20)."""
+    with pytest.warns(LinAlgWarning, match=r"rcond=1e-20\)"):
         newton(
             lambda x: np.ones(2),
             lambda x: np.array([[1.0, 0.0], [0.0, 1e-20]]),

@@ -1,11 +1,13 @@
 """Derived material constants, assembly, residual and Jacobian algebra."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from conftest import dense_operator
 from dimensional_oracle import solve_dimensional
@@ -276,6 +278,22 @@ def test_first_residual_allocates_under_one_and_a_half_n_squared(table1_ss, rng)
     assert peak < 1.5 * sys.n**2 * 8
 
 
+def test_assemble_peaks_below_twelve_n_squared(table1_ss):
+    """Assembling the 31 x 31 system peaks below 12 n^2 doubles: B is
+    written at its live size, with no padded (2n)^2 block and no masked
+    copy of it.  H4 (n^2), B (about 3.5 n^2) and the laid-out B^-1 (4 n^2)
+    are all that is dense."""
+    spec = replace(table1_ss, nx=31, ny=31)
+    ops = pm.reduced_operators(spec)
+    tracemalloc.start()
+    try:
+        sys = assemble(spec, *ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * sys.n**2 * 8
+
+
 def test_inplane_inverse_shares_the_lu_buffer(table1_ss, rng):
     """B, its LU and B^-1 share one buffer, and the system holds B^-1 as its
     one (2n)^2 array."""
@@ -287,6 +305,50 @@ def test_inplane_inverse_shares_the_lu_buffer(table1_ss, rng):
     big = [a for a in _arrays(sys, set()) if a.size >= (2 * n) ** 2]
     assert len(big) == 1 and big[0] is sys.inplane_inverse
     assert big[0].shape == (2 * n, 2 * n)
+
+
+def padded_inverse(sys):
+    """B^-1 formed the long way round: B on all 2n unknowns from np.kron,
+    its live rows and columns picked out by a boolean mask, inverted by
+    ``_invert_inplane`` and scattered back into a zeroed (2n)^2 array."""
+    fx, fy = sys.factors
+    (nx, ny), n = sys.quarter_shape, sys.n
+    block = np.zeros((2, n, 2, n))
+    for k, rows, cols in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)):
+        px, py = (PARITY_U, PARITY_V)[cols]
+        block[rows, :, cols] = sum(
+            np.kron(c * fx[px, ix], fy[py, iy]) for c, ix, iy in sys.terms[k]
+        )
+    live = np.ones((2, nx, ny), dtype=bool)
+    live[0, sys.bcx.n_interior // 2:] = live[1, :, sys.bcy.n_interior // 2:] = False
+    live = np.ix_(live.ravel(), live.ravel())
+    inverse = np.zeros((2 * n, 2 * n))
+    inverse[live], rcond = pm._invert_inplane(block.reshape(2 * n, 2 * n)[live])
+    return inverse, rcond
+
+
+@pytest.mark.parametrize("grid", [
+    ("iso", SIMPLY_SUPPORTED, 7, 7), ("iso", SIMPLY_SUPPORTED, 8, 8),
+    ("iso", CLAMPED, 9, 9), ("iso", CLAMPED, 10, 10),
+    ("ortho", SIMPLY_SUPPORTED, 13, 11), ("ortho", CLAMPED, 13, 11),
+    ("iso", CLAMPED, 5, 9), ("iso", CLAMPED, 9, 5),
+])
+def test_live_block_inverse_matches_padded_block(grid, table1_ss, orthotropic_spec):
+    """B written at its live size gives, bit for bit, the B^-1 and rcond of
+    the padded block, with exact zeros on U's center x-line and V's center
+    y-line.  Clamped 5 x 9 has no live U unknown, 9 x 5 no live V one."""
+    plate, bc, nx, ny = grid
+    spec = replace(table1_ss if plate == "iso" else orthotropic_spec, bc=bc, nx=nx, ny=ny)
+    sys = build_system(spec)
+    inverse, rcond = padded_inverse(sys)
+    np.testing.assert_array_equal(sys.inplane_inverse, inverse)
+    assert sys.inplane_rcond == rcond
+    qx, qy = sys.quarter_shape
+    b_inv = sys.inplane_inverse.reshape(2, qx, qy, 2, qx, qy)
+    hu, hv = sys.bcx.n_interior // 2, sys.bcy.n_interior // 2
+    for zero in (b_inv[0, hu:], b_inv[1, :, hv:], b_inv[..., 0, hu:, :], b_inv[..., 1, :, hv:]):
+        assert not zero.any()
+    assert (hu < qx) == (sys.bcx.n_interior % 2 == 1)
 
 
 def test_singular_inplane_block_raises_decoupling_error(table1_ss):
@@ -568,6 +630,23 @@ def test_linear_solve_singular_operator(table1_ss):
     broken = replace(sys, h4=np.zeros_like(sys.h4))
     with pytest.raises(AssemblyError):
         linear_solve(broken)
+
+
+def test_bending_solve_singular_operator_raises():
+    """An exactly singular operator that the row scaling leaves as it is
+    raises AssemblyError (getrf reports a zero pivot)."""
+    with pytest.raises(AssemblyError, match="singular bending operator"):
+        pm.solve_bending(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+
+
+def test_bending_solve_warning_gives_rcond():
+    """An ill-conditioned operator warns with the rcond of its row-equilibrated
+    copy.  [[1, 0], [1, 1e-20]] has unit rows already, 1-norm 2 and an inverse
+    of 1-norm 1e20 + 1: rcond 5e-21, not its reciprocal."""
+    with pytest.warns(LinAlgWarning) as caught:
+        pm.solve_bending(np.array([[1.0, 0.0], [1.0, 1e-20]]), np.ones(2))
+    rcond = float(re.search(r"rcond=([^)]+)", str(caught[0].message)).group(1))
+    assert 2.5e-21 <= rcond <= 1e-20
 
 
 def test_linear_ss_center_navier(table1_ss):
