@@ -7,8 +7,8 @@ run: a missing block is the one case error they raise.  Each run writes
 CSV artifacts with a header row, '.' decimals and 12 significant digits,
 so outputs are comparable across implementations.
 
-Exit codes: 0 success, 2 unreadable or invalid case file, 3 solver did not
-converge (the iteration report is dumped to stderr).
+Exit codes: 0 success, 2 unreadable or invalid case file or bad --out, 3
+solver did not converge (the iteration report is dumped to stderr).
 """
 
 from __future__ import annotations
@@ -182,13 +182,13 @@ _PLATE = {
 
 
 def _checked(path: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, its ValueError raised as a CaseError at the
-    JSON ``path``, where "{field}" stands for the field a GridError names."""
+    """``fn(*args, **kwargs)``, its ValueError or OSError raised as a CaseError
+    at ``path``, where "{field}" stands for the field a GridError names."""
     try:
         return fn(*args, **kwargs)
     except GridError as exc:
         raise CaseError(f"{path.format(field=exc.field)}: {exc.rule}") from exc
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CaseError(f"{path}: {exc}") from exc
 
 
@@ -545,13 +545,13 @@ def main(argv: list[str] | None = None) -> int:
         "bench": run_bench,
         "converge": run_convergence,
     }[args.mode]
-    # exit 2 for an invalid case: its file, an override or the mode's block
+    # exit 2 for an invalid case (its file, an override or the mode's block) or --out
     try:
         case = parse_case(args.case)
         overrides = _read(given, {k: _SOLVER[k] for k in given}, "solver")
         case = replace(case, solver=replace(case.solver, **overrides))
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _checked("--out", out_dir.mkdir, parents=True, exist_ok=True)
         return runner(case, out_dir)
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,10 @@ plates (center w = coefficient * q a^4 / D):
 Both serve as oracles for the linear limit of the collocation solver and
 as the error reference in boundary-treatment comparison runs.  The module
 also holds the whole linear comparison: the linear-limit center with the
-built-in boundary reductions (H4 W = load on the reduced operators) and
-with the auxiliary-point (delta) row replacement on the full moved grid.
-Both end in ``plate_model.solve_bending``, the row-equilibrated solve that
-also gives the Newton start.
+built-in boundary reductions, which is the Newton start of the assembled
+system, and with the auxiliary-point (delta) row replacement on the full
+moved grid.  Both end in ``plate_model.solve_bending``, the row-equilibrated
+solve.
 """
 
 from __future__ import annotations
@@ -92,16 +92,11 @@ def linear_reference_center(spec: PlateSpec) -> float:
 
 
 def linear_center_builtin(spec: PlateSpec) -> float:
-    """Linear-limit center w/h from H4 W = load on the reduced operators,
-    folded onto the symmetric quarter as in ``plate_model.assemble``."""
-    mat = plate_model.derive_material(spec)
-    x, y = plate_model.reduced_operators(spec)
-    fx, fy = (plate_model.fold(ops)[plate_model.EVEN] for ops in (x, y))
-    op = plate_model.bending_operator(spec, mat, fx, fy)
-    w = plate_model.solve_bending(op, np.full(len(op), plate_model.load_scale(spec, mat)))
-    maps = map(plate_model.recovery_maps, (x, y))
-    full = plate_model.full_grid(*maps, w, plate_model.PARITY_W)
-    return plate_model._interp_center(full, x.grid.nodes, y.grid.nodes)
+    """Linear-limit center w/h with the built-in boundary reductions: the
+    Newton start H4 W = load of the assembled system, through ``recover_fields``."""
+    sys = plate_model.build_system(spec)
+    w = plate_model.linear_solve(sys)
+    return plate_model.recover_fields(sys, w, 0 * w, 0 * w).center_deflection_ratio
 
 
 def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
@@ -116,15 +111,14 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
     op = plate_model.bending_operator(spec, mat, *map(plate_model.factor_stack, (dmx, dmy)))
     order = "first" if spec.bc == CLAMPED else "second"
-    # row (i, j) of each operator is the equation at node (x_i, y_j)
-    rows = op.reshape(nx, ny, -1)
-    ident = np.eye(nx * ny).reshape(nx, ny, -1)
-    on_x = kron(getattr(dmx, order), np.eye(ny)).reshape(nx, ny, -1)
-    on_y = kron(np.eye(nx), getattr(dmy, order)).reshape(nx, ny, -1)
+    ix, iy = np.eye(nx), np.eye(ny)
+    # row (i, j) of the operator is the equation at node (x_i, y_j)
+    rows = op.reshape(nx, ny, nx, ny)
     edge, aux = [0, -1], [1, -2]
-    rows[edge], rows[:, edge] = ident[edge], ident[:, edge]
-    rows[aux, 1:-1] = on_x[aux, 1:-1]
-    rows[2:-2, aux] = on_y[2:-2, aux]
+    rows[edge] = kron(ix[edge], iy).reshape(2, ny, nx, ny)
+    rows[:, edge] = kron(ix, iy[edge]).reshape(nx, 2, nx, ny)
+    rows[aux, 1:-1] = kron(getattr(dmx, order)[aux], iy[1:-1]).reshape(2, ny - 2, nx, ny)
+    rows[2:-2, aux] = kron(ix[2:-2], getattr(dmy, order)[aux]).reshape(nx - 4, 2, nx, ny)
     rhs = np.zeros((nx, ny))
     rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
     # the unknowns are the values at every node of the moved grid

@@ -223,6 +223,8 @@ def load_sweep(
     the partial table is returned with a non-converged marker row appended.
     """
     q_values = [float(q) for q in q_values]
+    if not q_values:
+        raise ValueError("sweep needs at least one load")
     if any(q <= 0 for q in q_values):
         raise ValueError("sweep loads must be positive")
     if any(b <= a for a, b in zip(q_values, q_values[1:])):

@@ -22,8 +22,8 @@ when their count is odd, and each 1-D factor X is folded into S X P_p
 (``fold``; the even-odd decomposition of differentiation matrices,
 Solomonoff, J. Comput. Phys. 98 (1992) 174).  Every field is a vector over
 the quarter's nodes, zero on the center line where its parity makes it
-vanish, so the elementwise products stay pointwise; ``full_grid`` mirrors
-a field back with its parity's signs.
+vanish, so the elementwise products stay pointwise; ``recover_fields``
+mirrors a field back with its parity's signs.
 
 Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
 folded matrices and is kept only as these terms, every product H_k Z going
@@ -271,9 +271,9 @@ def _kron_sum(terms, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 
 
 def bending_operator(spec: PlateSpec, mat: DerivedMaterial, fx, fy) -> np.ndarray:
-    """Scaled bending operator over per-direction factor stacks: the folded
-    even factors of the reduced interior operators in the built-in linear
-    center, the full-grid weighting matrices in the auxiliary-point one."""
+    """Scaled bending operator over per-direction factor stacks, dense.  The
+    auxiliary-point linear center builds it from the full-grid weighting
+    matrices; ``assemble`` writes H4 from the same terms on the quarter."""
     return _kron_sum(_bending_terms(spec, mat), fx, fy)
 
 
@@ -616,12 +616,6 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return jt.T
 
 
-def l_vectors(sys: AssembledSystem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic right-hand sides of the in-plane equations for given W."""
-    rhs = _inplane_forcing(_products(sys, _check_size(sys, w), PARITY_W))
-    return rhs[: sys.n], rhs[sys.n :]
-
-
 def recover_inplane(
     sys: AssembledSystem, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -730,30 +724,19 @@ def _interp_center(values: np.ndarray, xn: np.ndarray, yn: np.ndarray) -> float:
     )
 
 
-def recovery_maps(ops: BoundaryOperatorSet) -> np.ndarray:
-    """R P_even and R P_odd, (2, m, k): one direction's mirror maps, then R."""
-    return ops.recovery @ mirror_maps(ops.n_interior)
-
-
-def full_grid(mx: np.ndarray, my: np.ndarray, f, parity) -> np.ndarray:
-    """Quarter field f of the given parity on the full grid, R_x P_x F P_y^T
-    R_y^T from the ``recovery_maps`` mx and my, F the (x, y) array of f."""
-    rx, ry = mx[parity[0]], my[parity[1]]
-    return rx @ f.reshape(rx.shape[1], ry.shape[1]) @ ry.T
-
-
 def recover_fields(
     sys: AssembledSystem,
     w: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
 ) -> SolutionField:
-    """Map quarter vectors to physical full-grid fields."""
+    """Map quarter vectors to physical full-grid fields: F of parity (px, py),
+    as its (x, y) array, becomes R_x P_px F P_py^T R_y^T (mirror maps, then R)."""
     w = _check_size(sys, w)
-    maps = recovery_maps(sys.bcx), recovery_maps(sys.bcy)
+    rx, ry = (ops.recovery @ mirror_maps(ops.n_interior) for ops in (sys.bcx, sys.bcy))
     w_full, u_full, v_full = (
-        full_grid(*maps, f, parity)
-        for f, parity in ((w, PARITY_W), (u, PARITY_U), (v, PARITY_V))
+        rx[px] @ f.reshape(sys.quarter_shape) @ ry[py].T
+        for f, (px, py) in ((w, PARITY_W), (u, PARITY_U), (v, PARITY_V))
     )
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
     spec = sys.spec

@@ -226,6 +226,20 @@ def test_invalid_override_names_its_path(tmp_path, capsys, override, path):
     assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
+    """--out naming a file, or a path below one, is a bad argument: exit 2, an
+    error line naming --out, and nothing written."""
+    case = write_case(tmp_path, SS_CASE)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    assert main(["solve", str(case), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json", "taken"]
+
+
 def test_solver_block_and_overrides(tmp_path):
     doc = json.loads(json.dumps(SS_CASE))
     doc["solver"] = {"tol": 1e-7, "max_iter": 12, "jacobian": "fd"}

@@ -1,10 +1,13 @@
 """Classical series references and the boundary-treatment comparison."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fullgrid_oracle import FullGrid
+from dqplate import bc_builder, dq_core, plate_model
 from dqplate.bc_builder import CLAMPED, SIMPLY_SUPPORTED
 from dqplate.linear_bending import (
     clamped_ritz_coefficient,
@@ -15,13 +18,7 @@ from dqplate.linear_bending import (
     series_coefficient,
 )
 from dqplate.dq_core import UNIFORM
-from dqplate.plate_model import (
-    PlateSpec,
-    build_system,
-    derive_material,
-    linear_solve,
-    recover_fields,
-)
+from dqplate.plate_model import PlateSpec, build_system, derive_material
 
 
 def test_navier_square_coefficient():
@@ -122,11 +119,64 @@ def test_delta_center_matches_exact_solve():
     assert linear_center_delta(spec) == pytest.approx(0.000958378946466, rel=1e-7)
 
 
+def delta_center_by_dense_rows(spec, delta=1e-5):
+    """The auxiliary-point center with every replaced row cut from a dense
+    (N^2)^2 helper: the identity, kron(D_x, I) and kron(I, D_y)."""
+    mat = plate_model.derive_material(spec)
+    nx, ny = spec.nx, spec.ny
+    gx, gy = (bc_builder.delta_grid(dq_core.make_grid(m, spec.grid_kind), delta)
+              for m in (nx, ny))
+    dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
+    op = plate_model.bending_operator(
+        spec, mat, plate_model.factor_stack(dmx), plate_model.factor_stack(dmy)
+    )
+    order = "first" if spec.bc == CLAMPED else "second"
+    rows = op.reshape(nx, ny, -1)
+    ident = np.eye(nx * ny).reshape(nx, ny, -1)
+    on_x = np.kron(getattr(dmx, order), np.eye(ny)).reshape(nx, ny, -1)
+    on_y = np.kron(np.eye(nx), getattr(dmy, order)).reshape(nx, ny, -1)
+    edge, aux = [0, -1], [1, -2]
+    rows[edge], rows[:, edge] = ident[edge], ident[:, edge]
+    rows[aux, 1:-1] = on_x[aux, 1:-1]
+    rows[2:-2, aux] = on_y[2:-2, aux]
+    rhs = np.zeros((nx, ny))
+    rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
+    w = plate_model.solve_bending(op, rhs.ravel())
+    return plate_model._interp_center(w.reshape(nx, ny), gx.nodes, gy.nodes)
+
+
+@pytest.mark.parametrize(
+    "bc, nx, ny",
+    [(SIMPLY_SUPPORTED, 5, 5), (SIMPLY_SUPPORTED, 8, 8), (CLAMPED, 8, 8),
+     (SIMPLY_SUPPORTED, 13, 13), (CLAMPED, 13, 13), (SIMPLY_SUPPORTED, 9, 11),
+     (CLAMPED, 9, 11)],
+)
+def test_delta_rows_match_dense_helpers(bc, nx, ny, table1_ss):
+    """Rows written as Kronecker products of 1-D rows give the center of the
+    rows cut from dense helpers, bitwise.  At N = 5 one x-line lies between
+    the auxiliary x-lines."""
+    spec = replace(table1_ss, bc=bc, nx=nx, ny=ny)
+    assert linear_center_delta(spec) == delta_center_by_dense_rows(spec)
+
+
+def test_delta_center_peak_memory(table1_ss):
+    """Beside the operator and the solve's scaled copy of it, the auxiliary-
+    point center holds no (N^2)^2 array: 21 x 21 peaks below three."""
+    spec = replace(table1_ss, nx=21, ny=21)
+    tracemalloc.start()
+    try:
+        linear_center_delta(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (spec.nx * spec.ny) ** 2 * 8
+
+
 @pytest.mark.parametrize("case", ["ss", "clamped", "rectangular", "rectangular-clamped"])
 def test_builtin_center_matches_linear_solve(case, table1_ss, table1_clamped,
                                              orthotropic_spec):
-    """H4 W = load straight from the reduced operators gives the center of
-    the assembled system's linear solve mapped through recover_fields."""
+    """The built-in center agrees with the unfolded dense solve of H4 W = load
+    on every interior node, mapped to the full grid by the recovery maps."""
     spec = {
         "ss": table1_ss,
         "clamped": table1_clamped,
@@ -134,7 +184,8 @@ def test_builtin_center_matches_linear_solve(case, table1_ss, table1_clamped,
         "rectangular-clamped": replace(orthotropic_spec, bc=CLAMPED, ny=9),
     }[case]
     sys = build_system(spec)
-    w = linear_solve(sys)
-    zero = np.zeros_like(w)
-    expected = recover_fields(sys, w, zero, zero).center_deflection_ratio
+    full = FullGrid(sys)
+    w = np.linalg.solve(full.h[4], full.load)
+    w = sys.bcx.recovery @ w.reshape(sys.bcx.n_interior, -1) @ sys.bcy.recovery.T
+    expected = plate_model._interp_center(w, sys.bcx.grid.nodes, sys.bcy.grid.nodes)
     assert linear_center_builtin(spec) == pytest.approx(expected, rel=1e-12)

@@ -162,6 +162,8 @@ def test_sweep_input_validation(table1_ss):
         load_sweep(table1_ss, [1.0, 0.5])
     with pytest.raises(ValueError):
         load_sweep(table1_ss, [0.0, 1.0])
+    with pytest.raises(ValueError, match="at least one load"):
+        load_sweep(table1_ss, [])
 
 
 def test_sweep_failure_marker(table1_ss):

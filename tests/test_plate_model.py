@@ -30,7 +30,6 @@ from dqplate.plate_model import (
     coupled_residual,
     derive_material,
     jacobian,
-    l_vectors,
     linear_solve,
     recover_fields,
     recover_inplane,
@@ -383,6 +382,12 @@ def test_with_load_only_changes_load(table1_ss):
 # ---------------------------------------------------------------------------
 # quadratic in-plane forcing terms
 # ---------------------------------------------------------------------------
+
+
+def l_vectors(sys, w):
+    """The in-plane right-hand sides l1, l2: the coupled residual's in-plane
+    rows with U = V = 0."""
+    return coupled_residual(sys, w, np.zeros(sys.n), np.zeros(sys.n))[:2]
 
 
 def test_l_vectors_vanish_at_zero(table1_ss):
