@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import timeit
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -378,29 +379,12 @@ def run_sweep(case: Case, out_dir: Path) -> int:
 
 
 def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
+    """bench.csv rows of one grid, None if a solve fails: one timed solve per
+    strategy, and each Jacobian timed (best of ``repeats``) at the SJT W*."""
     sys_n = plate_model.build_system(spec)
-    base = newton_solver.solve_plate(
-        spec, tol=solver.tol, max_iter=solver.max_iter, system=sys_n
-    )
-    w_star = base.field.w_stack
-
-    def time_best(fn):
-        best = np.inf
-        for _ in range(repeats):
-            t0 = perf_counter()
-            fn()
-            best = min(best, perf_counter() - t0)
-        return best * 1e3
-
-    jac_sjt = time_best(lambda: plate_model.jacobian(sys_n, w_star))
-    jac_fd = time_best(
-        lambda: newton_solver.fd_jacobian(
-            lambda z: plate_model.residual(sys_n, z), w_star
-        )
-    )
-
-    rows = []
-    for strategy, jac_ms in ((SJT_ANALYTIC, jac_sjt), (FINITE_DIFFERENCE, jac_fd)):
+    n = sys_n.bcx.n_interior * sys_n.bcy.n_interior  # unknowns per field on the full grid
+    rows, w_star = [], None
+    for strategy in (SJT_ANALYTIC, FINITE_DIFFERENCE):
         t0 = perf_counter()
         sol = newton_solver.solve_plate(
             spec, tol=solver.tol, max_iter=solver.max_iter,
@@ -409,7 +393,10 @@ def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
         solve_ms = (perf_counter() - t0) * 1e3
         if not sol.report.converged:
             return None
-        n = sys_n.bcx.n_interior * sys_n.bcy.n_interior  # unknowns per field on the full grid
+        if w_star is None:  # the SJT solve's, as it runs first
+            w_star = sol.field.w_stack
+        jac = newton_solver._make_jacobian_fn(sys_n, strategy)
+        jac_ms = min(timeit.repeat(lambda: jac(w_star), number=1, repeat=repeats)) * 1e3
         rows.append([n, strategy, jac_ms, solve_ms, sol.report.iterations])
     return rows
 
@@ -434,19 +421,11 @@ def run_bench(case: Case, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _converge_point(spec: PlateSpec, solver: SolverOptions, loads):
-    """Center w/h at each load for one grid, warm-started in load order."""
-    if len(loads) == 1:
-        sol = newton_solver.solve_plate(
-            replace(spec, q=loads[0]), tol=solver.tol,
-            max_iter=solver.max_iter, strategy=solver.jacobian,
-        )
-        if not sol.report.converged:
-            return None
-        return [(loads[0], sol.field.center_deflection_ratio)]
+def _converge_point(system: plate_model.AssembledSystem, solver: SolverOptions, loads):
+    """Center w/h at each load on one grid's system, warm-started in load order."""
     points = newton_solver.load_sweep(
-        spec, loads, tol=solver.tol, max_iter=solver.max_iter,
-        strategy=solver.jacobian,
+        system.spec, loads, tol=solver.tol, max_iter=solver.max_iter,
+        strategy=solver.jacobian, system=system,
     )
     if not all(p.converged for p in points):
         return None
@@ -459,7 +438,9 @@ def run_convergence(case: Case, out_dir: Path) -> int:
     Writes convergence.csv; with a reference grid an absolute-difference
     column is included.  With linear_comparison, linear_comparison.csv gets
     the built-in and auxiliary-point center coefficients against the
-    classical series value.
+    classical series value.  Each grid's system is built once, for its load
+    ladder (without a loads block, ``plate.q`` of any sign) and its built-in
+    linear center, which is the Newton start at ``plate.q``.
     """
     if case.conv_grids is None:
         raise CaseError("case has no 'convergence' block")
@@ -472,7 +453,7 @@ def run_convergence(case: Case, out_dir: Path) -> int:
     if case.conv_reference is not None:
         ref_n, ref_kind = case.conv_reference
         ref_spec = replace(case.spec, nx=ref_n, ny=ref_n, grid_kind=ref_kind)
-        reference = _converge_point(ref_spec, case.solver, loads)
+        reference = _converge_point(plate_model.build_system(ref_spec), case.solver, loads)
         if reference is None:
             print("reference grid did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -480,7 +461,8 @@ def run_convergence(case: Case, out_dir: Path) -> int:
     rows, lin_rows = [], []
     for kind, npts in product(case.conv_kinds, case.conv_grids):
         spec = replace(case.spec, nx=npts, ny=npts, grid_kind=kind)
-        res = _converge_point(spec, case.solver, loads)
+        system = plate_model.build_system(spec)
+        res = _converge_point(system, case.solver, loads)
         if res is None:
             print(f"grid {kind} {npts} did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -490,7 +472,7 @@ def run_convergence(case: Case, out_dir: Path) -> int:
                 row.append(abs(center - reference[k][1]))
             rows.append(row)
         if case.conv_linear:  # on the study's one kind (parse_case)
-            center_b = linear_bending.linear_center_builtin(spec)
+            center_b = linear_bending.builtin_center(system)
             center_d = linear_bending.linear_center_delta(spec, case.conv_delta)
             for scheme, center in ((builtin_name, center_b), ("delta", center_d)):
                 lin_rows.append([scheme, npts, center, series, abs(center - series)])

@@ -24,10 +24,13 @@ GRID_KINDS = (UNIFORM, CHEBYSHEV)
 # Condition numbers of 4th-order weighting matrices grow fast with N;
 # beyond ~31 points double precision is not trustworthy.
 MAX_POINTS = 31
-# Uniform grids degrade sooner.  Past 21 points Newton no longer converges
-# on simply supported plates (from 23) and clamped ones (at 31), and the
-# linear-limit solves reach rcond ~1e-19 at 31, so their centers depend on
-# rounding.  PlateSpec, and so every case file, stops there; make_grid does not.
+# Uniform grids degrade sooner.  Newton already meets the residual's rounding
+# floor at 21 points: on the Table-1 plates, simply supported exits 3 after 25
+# iterations, its residual wandering between about 4e-5 and 2e-3 against the
+# 1e-5 tolerance, and clamped converges but warns of steps with rcond 8.5e-17
+# (ROADMAP.md item 1, stopping Newton at that floor).  The linear-limit solves
+# reach rcond ~1e-19 at 31, so their centers depend on rounding.  PlateSpec,
+# and so every case file, stops at 21; make_grid does not.
 MAX_UNIFORM_POINTS = 21
 
 MIN_NODE_GAP = 1e-12

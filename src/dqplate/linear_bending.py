@@ -11,10 +11,11 @@ plates (center w = coefficient * q a^4 / D):
 Both serve as oracles for the linear limit of the collocation solver and
 as the error reference in boundary-treatment comparison runs.  The module
 also holds the whole linear comparison: the linear-limit center with the
-built-in boundary reductions, which is the Newton start of the assembled
-system, and with the auxiliary-point (delta) row replacement on the full
-moved grid.  Both end in ``plate_model.solve_bending``, the row-equilibrated
-solve.
+built-in boundary reductions, which is the Newton start of an assembled
+system (``builtin_center`` reads it from a system the caller already has,
+``linear_center_builtin`` builds one from a spec), and with the
+auxiliary-point (delta) row replacement on the full moved grid.  Both end in
+``plate_model.solve_bending``, the row-equilibrated solve.
 """
 
 from __future__ import annotations
@@ -91,12 +92,16 @@ def linear_reference_center(spec: PlateSpec) -> float:
     return series_coefficient(spec.bc, spec.a / spec.b) * plate_model.load_scale(spec, mat)
 
 
-def linear_center_builtin(spec: PlateSpec) -> float:
+def builtin_center(sys: plate_model.AssembledSystem) -> float:
     """Linear-limit center w/h with the built-in boundary reductions: the
-    Newton start H4 W = load of the assembled system, through ``recover_fields``."""
-    sys = plate_model.build_system(spec)
+    Newton start H4 W = load of an assembled system, through ``recover_fields``."""
     w = plate_model.linear_solve(sys)
     return plate_model.recover_fields(sys, w, 0 * w, 0 * w).center_deflection_ratio
+
+
+def linear_center_builtin(spec: PlateSpec) -> float:
+    """``builtin_center`` of a system built for ``spec``."""
+    return builtin_center(plate_model.build_system(spec))
 
 
 def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:

@@ -14,7 +14,7 @@ Convergence is measured on the max-norm of the residual, default tolerance 1e-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
@@ -173,6 +173,15 @@ def _make_jacobian_fn(sys: AssembledSystem, strategy: str) -> JacobianFn:
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def _system_for(spec: PlateSpec, system: AssembledSystem | None) -> AssembledSystem:
+    """``system``, which must have been built for ``spec``, or a new build."""
+    if system is None:
+        return plate_model.build_system(spec)
+    if system.spec != spec:
+        raise ValueError("the given system was assembled for a different spec")
+    return system
+
+
 def solve_plate(
     spec: PlateSpec,
     tol: float = DEFAULT_TOL,
@@ -182,9 +191,7 @@ def solve_plate(
     system: AssembledSystem | None = None,
 ) -> PlateSolution:
     """Assemble (unless given), start from the linear solution, iterate."""
-    if system is not None and system.spec != spec:
-        raise ValueError("the given system was assembled for a different spec")
-    sys = plate_model.build_system(spec) if system is None else system
+    sys = _system_for(spec, system)
     if w0 is None:
         w0 = plate_model.linear_solve(sys)
     w, report = newton(
@@ -216,21 +223,23 @@ def load_sweep(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     strategy: str = SJT_ANALYTIC,
+    system: AssembledSystem | None = None,
 ) -> list[SweepPoint]:
     """Solve a ladder of pressures, warm-starting each from the previous.
 
-    The first load starts from its own linear solution.  On a failed step
-    the partial table is returned with a non-converged marker row appended.
+    Any non-empty, strictly increasing ladder of finite loads is accepted.
+    Each load is solved on a ``with_load`` copy of ``system``, which must have
+    been built for ``spec`` as in ``solve_plate``, or of one built here.  The
+    first load starts from its own linear solution.  On a failed step the
+    partial table is returned with a non-converged marker row appended.
     """
     q_values = [float(q) for q in q_values]
     if not q_values:
         raise ValueError("sweep needs at least one load")
-    if any(q <= 0 for q in q_values):
-        raise ValueError("sweep loads must be positive")
     if any(b <= a for a, b in zip(q_values, q_values[1:])):
         raise ValueError("sweep loads must be strictly increasing")
 
-    base = plate_model.build_system(replace(spec, q=q_values[0]))
+    base = _system_for(spec, system)
     rows: list[SweepPoint] = []
     warm: np.ndarray | None = None
     for q in q_values:

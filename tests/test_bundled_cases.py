@@ -125,6 +125,24 @@ def test_bundled_case_runs(path, tmp_path):
                 assert [int(r[column]) for r in rows] == pins[column]
 
 
+@pytest.mark.parametrize("q, sign", [(0.0, 0.0), (-3.0, -1.0)], ids=["zero", "negative"])
+def test_comparison_at_zero_and_negative_load(tmp_path, q, sign):
+    """linear_bc_comparison with plate.q = 0 or -3 and no loads block, whose
+    ladder is that one load.  W -> -W maps a solution at q to one at -q, so
+    every center is 0 or the q = 3 pin negated."""
+    doc = json.loads((ROOT / "cases" / "linear_bc_comparison.json").read_text())
+    assert doc["plate"]["q"] == 3.0 and "loads" not in doc["convergence"]
+    doc["plate"]["q"] = q
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    assert main(["converge", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    for name, pins in PINNED["linear_bc_comparison"].items():
+        with open(tmp_path / name, newline="") as fh:
+            got = [float(r["center_w_over_h"]) for r in csv.DictReader(fh)]
+        want = [sign * c for c in pins["center_w_over_h"]]
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+
 def test_module_entry_point(tmp_path):
     """``python -m dqplate`` runs the same CLI and exits with its code."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqplate import dq_core, newton_solver, plate_model
 from dqplate.case_runner import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -15,7 +16,7 @@ from dqplate.case_runner import (
     parse_case,
 )
 from dqplate.dq_core import CHEBYSHEV
-from dqplate.newton_solver import FINITE_DIFFERENCE
+from dqplate.newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC
 
 SS_CASE = {
     "plate": {
@@ -33,6 +34,18 @@ def write_case(tmp_path, doc, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def count_calls(monkeypatch, module, name):
+    """The (args, kwargs) of every call to ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def read_csv(path):
@@ -417,6 +430,16 @@ def test_bench_mode_row_count(tmp_path):
     assert len(rows) == 4  # grids x strategies
 
 
+def test_bench_solves_once_per_strategy(tmp_path, monkeypatch):
+    """The Jacobians are timed at the timed SJT solve's W*: two solves per
+    grid, one per strategy, and no untimed one before them."""
+    solves = count_calls(monkeypatch, newton_solver, "solve_plate")
+    path = write_case(tmp_path, with_block(bench={"grids": [7, 9], "repeats": 1}))
+    assert main(["bench", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    strategies = [kwargs.get("strategy") for _, kwargs in solves]
+    assert strategies == [SJT_ANALYTIC, FINITE_DIFFERENCE] * 2
+
+
 def test_converge_mode(tmp_path):
     doc = json.loads(json.dumps(SS_CASE))
     doc["convergence"] = {
@@ -527,3 +550,17 @@ def test_linear_comparison_needs_one_kind(tmp_path, capsys):
     assert main(["converge", str(path), "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: convergence.linear_comparison")
     assert not list(out.glob("*.csv"))
+
+
+def test_converge_builds_each_grid_once(tmp_path, monkeypatch):
+    """A grid's load ladder and its built-in linear center share one system:
+    one build per study grid plus the reference's, and four weight sets per
+    study grid, two for its system and two for the auxiliary-point grid."""
+    doc = _comparison_case(["chebyshev"])
+    doc["convergence"].update(grids=[7, 9, 11], reference={"n": 13})
+    path = write_case(tmp_path, doc)
+    builds = count_calls(monkeypatch, plate_model, "build_system")
+    weights = count_calls(monkeypatch, dq_core, "diff_matrices")
+    assert main(["converge", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [args[0].nx for args, _ in builds] == [13, 7, 9, 11]
+    assert len(weights) == 2 + 4 * 3

@@ -1,5 +1,7 @@
 """Newton iteration behavior, strategies, and load sweeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
@@ -160,10 +162,25 @@ def test_sweep_deflection_increases(table1_clamped):
 def test_sweep_input_validation(table1_ss):
     with pytest.raises(ValueError):
         load_sweep(table1_ss, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        load_sweep(table1_ss, [0.0, 1.0])
     with pytest.raises(ValueError, match="at least one load"):
         load_sweep(table1_ss, [])
+    with pytest.raises(ValueError, match="q must be finite"):
+        load_sweep(table1_ss, [float("nan")])
+    # a one-load ladder takes any finite q, as solve_plate does
+    for q in (0.0, -2.0):
+        (pt,) = load_sweep(table1_ss, [q])
+        sol = solve_plate(replace(table1_ss, q=q))
+        assert pt.converged and pt.iterations == sol.report.iterations
+        assert pt.center_w_over_h == sol.field.center_deflection_ratio
+
+
+def test_sweep_on_a_given_system(table1_ss):
+    """A ladder on a system the caller built gives the same points as one on
+    a system it builds itself, whatever q the system was built at."""
+    loads = [0.25, 0.5, 1.0]
+    expected = load_sweep(table1_ss, loads)
+    for spec in (table1_ss, replace(table1_ss, q=-7.0)):
+        assert load_sweep(spec, loads, system=build_system(spec)) == expected
 
 
 def test_sweep_failure_marker(table1_ss):
@@ -193,16 +210,16 @@ def test_reference_loads_converge_from_linear_guess(table1_ss, table1_clamped):
 
 
 def test_system_must_match_spec(table1_ss):
-    """A system built for another load or support is refused, not solved."""
-    from dataclasses import replace
-
+    """A system built for another load or support is refused, not solved,
+    by a single solve and by a load ladder alike."""
     from dqplate.bc_builder import CLAMPED
-    from dqplate.plate_model import build_system
 
     system = build_system(table1_ss)
     for other in (replace(table1_ss, q=3.0), replace(table1_ss, bc=CLAMPED)):
         with pytest.raises(ValueError, match="different spec"):
             solve_plate(other, system=system)
+        with pytest.raises(ValueError, match="different spec"):
+            load_sweep(other, [1.0, 2.0], system=system)
     assert solve_plate(table1_ss, system=system).report.converged
 
 
