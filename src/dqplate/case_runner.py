@@ -1,11 +1,11 @@
 """Case-file driven command line: solve, sweep, bench, converge.
 
 Cases are plain JSON documents, validated strictly and in one pass by
-``parse_case``: unknown keys are rejected, and every grid the case implies
-is built as a PlateSpec, which holds the grid rules.  The run modes only
-run: a missing block is the one case error they raise.  Each run writes
-CSV artifacts with a header row, '.' decimals and 12 significant digits,
-so outputs are comparable across implementations.
+``parse_case``: the schema checks keys and JSON types, and every plate and
+grid the case implies is built as a PlateSpec, which holds every plate
+rule.  The run modes only run: a missing block is the one case error they
+raise.  Each run writes CSV artifacts with a header row, '.' decimals and
+12 significant digits, so outputs are comparable across implementations.
 
 Exit codes: 0 success, 2 unreadable or invalid case file or bad --out, 3
 solver did not converge (the iteration report is dumped to stderr).
@@ -26,10 +26,10 @@ from time import perf_counter
 import numpy as np
 
 from . import bc_builder, dq_core, linear_bending, newton_solver, plate_model
-from .bc_builder import BC_KINDS, CLAMPED
+from .bc_builder import CLAMPED
 from .dq_core import CHEBYSHEV, UNIFORM
 from .newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC
-from .plate_model import GridError, PlateSpec
+from .plate_model import PlateSpec, SpecError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -140,36 +140,31 @@ def _list_of(item, increasing=False):
     return check
 
 
-_number = _scalar(_NUMBER, "a number")
+_number = _scalar(_NUMBER, "a number")  # PlateSpec holds the plate rules
 _positive = _scalar(_NUMBER, "a number", lambda x: x > 0, "must be positive")
-_poisson = _scalar(_NUMBER, "a number", lambda x: 0 <= x < 1, "must lie in [0, 1)")
 _count = _scalar(int, "an integer", lambda x: x >= 1, "must be at least 1")
-_grid_size = _scalar(int, "an integer")  # PlateSpec holds the grid rules
+_grid_size = _scalar(int, "an integer")
 _boolean = _scalar(bool, "a boolean")
 # A load ladder: load_sweep warm-starts each load from the one before.
 _load_ladder = _list_of(_positive, increasing=True)
 _grid_kind = _choice(_GRID_ALIASES)
 
-_ISOTROPIC = {"e": (_positive, _REQUIRED), "nu": (_poisson, _REQUIRED)}
-_ORTHOTROPIC = {
-    "e1": (_positive, _REQUIRED),
-    "e2": (_positive, _REQUIRED),
-    "g12": (_positive, _REQUIRED),
-    "nu12": (_poisson, _REQUIRED),
-}
+# The keys of each material form, each with the PlateSpec fields it gives.
+_ISOTROPIC = {"e": ("e1", "e2", "g12"), "nu": ("nu12",)}
+_ORTHOTROPIC = {name: (name,) for name in ("e1", "e2", "g12", "nu12")}
 
 
 def _material(node, path) -> dict:
-    iso = isinstance(node, dict) and "e" in node
-    return _read(node, _ISOTROPIC if iso else _ORTHOTROPIC, path)
+    form = _ISOTROPIC if isinstance(node, dict) and "e" in node else _ORTHOTROPIC
+    return _read(node, dict.fromkeys(form, (_number, _REQUIRED)), path)
 
 
 _PLATE = {
-    "a": (_positive, _REQUIRED),
-    "b": (_positive, None),  # defaults to a
-    "h": (_positive, _REQUIRED),
+    "a": (_number, _REQUIRED),
+    "b": (_number, None),  # defaults to a
+    "h": (_number, _REQUIRED),
     "material": (_material, _REQUIRED),
-    "bc": (_choice({k: k for k in BC_KINDS}), _REQUIRED),
+    "bc": (_scalar(str, "a string"), _REQUIRED),
     "q": (_number, _REQUIRED),
     "grid": (
         {
@@ -184,11 +179,11 @@ _PLATE = {
 
 def _checked(path: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, its ValueError or OSError raised as a CaseError
-    at ``path``, where "{field}" stands for the field a GridError names."""
+    at ``path``; a SpecError gives its rule alone."""
     try:
         return fn(*args, **kwargs)
-    except GridError as exc:
-        raise CaseError(f"{path.format(field=exc.field)}: {exc.rule}") from exc
+    except SpecError as exc:
+        raise CaseError(f"{path}: {exc.rule}") from exc
     except (ValueError, OSError) as exc:
         raise CaseError(f"{path}: {exc}") from exc
 
@@ -198,13 +193,16 @@ def _plate(node, path) -> PlateSpec:
     grid, material = fields.pop("grid"), fields.pop("material")
     if fields["b"] is None:
         fields["b"] = fields["a"]
-    make = PlateSpec.isotropic if "e" in material else PlateSpec
-    spec = _checked(
-        path + ".grid.{field}", make,
-        nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields,
-    )
-    _checked(f"{path}.material", plate_model.derive_material, spec)  # 1 - nu12 nu21 > 0
-    return spec
+    iso = "e" in material
+    form, make = (_ISOTROPIC, PlateSpec.isotropic) if iso else (_ORTHOTROPIC, PlateSpec)
+    # where a PlateSpec field is in the file, below plate, if not at its own name
+    moved = {"nx": "grid.nx", "ny": "grid.ny", "grid_kind": "grid.kind"}
+    for key, spec_fields in form.items():
+        moved.update(dict.fromkeys(spec_fields, f"material.{key}"))
+    try:
+        return make(nx=grid["nx"], ny=grid["ny"], grid_kind=grid["kind"], **material, **fields)
+    except SpecError as exc:
+        raise CaseError(f"{path}.{moved.get(exc.field, exc.field)}: {exc.rule}") from exc
 
 
 _SOLVER = {

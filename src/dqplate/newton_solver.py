@@ -14,7 +14,7 @@ Convergence is measured on the max-norm of the residual, default tolerance 1e-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable
 
@@ -233,7 +233,8 @@ def load_sweep(
     first load starts from its own linear solution.  On a failed step the
     partial table is returned with a non-converged marker row appended.
     """
-    q_values = [float(q) for q in q_values]
+    # PlateSpec refuses a non-finite load here, before anything is built
+    q_values = [replace(spec, q=float(q)).q for q in q_values]
     if not q_values:
         raise ValueError("sweep needs at least one load")
     if any(b <= a for a, b in zip(q_values, q_values[1:])):

@@ -57,10 +57,6 @@ from .bc_builder import BC_KINDS, CLAMPED, BoundaryOperatorSet
 from .dq_core import CHEBYSHEV, GRID_KINDS, UNIFORM
 
 
-class MaterialError(ValueError):
-    """Physically inconsistent elastic constants."""
-
-
 class AssemblyError(ValueError):
     """Operator assembly failed or inputs are incompatible."""
 
@@ -69,17 +65,14 @@ class DecouplingError(RuntimeError):
     """The in-plane block system is numerically singular."""
 
 
-class GridError(ValueError):
-    """A grid size that PlateSpec refuses: ``field`` (nx or ny) breaks ``rule``."""
+class SpecError(ValueError):
+    """A value PlateSpec refuses: ``field``, a PlateSpec field or "material"
+    for the elastic constants together, breaks ``rule``.  The message is
+    "field rule", or the rule alone for the material, whose rule names it."""
 
     def __init__(self, field: str, rule: str):
-        super().__init__(f"{field} {rule}")
+        super().__init__(rule if field == "material" else f"{field} {rule}")
         self.field, self.rule = field, rule
-
-
-def _check_poisson(nu12: float) -> None:
-    if not 0 <= nu12 < 1:
-        raise ValueError("nu12 must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,9 @@ class PlateSpec:
     """Physical description of one plate case.
 
     Lengths and moduli in any consistent unit system; ``bc`` applies to all
-    four edges.  ``nx``/``ny`` are grid point counts per direction; every
-    grid rule of the program is checked here.
+    four edges.  ``nx``/``ny`` are grid point counts per direction.  Every
+    rule on a plate, its material and its grid is checked here, and a
+    broken one raises SpecError.
     """
 
     a: float
@@ -107,30 +101,29 @@ class PlateSpec:
     def __post_init__(self):
         for name in ("a", "b", "h", "e1", "e2", "g12", "q"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise SpecError(name, "must be finite")
         for name in ("a", "b", "h", "e1", "e2", "g12"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        _check_poisson(self.nu12)
-        if self.bc not in BC_KINDS:
-            raise ValueError(f"unknown bc {self.bc!r}; expected one of {BC_KINDS}")
-        if self.grid_kind not in GRID_KINDS:
-            raise ValueError(
-                f"unknown grid kind {self.grid_kind!r}; expected one of {GRID_KINDS}"
-            )
+                raise SpecError(name, "must be positive")
+        if not 0 <= self.nu12 < 1:
+            raise SpecError("nu12", "must lie in [0, 1)")
+        for name, kinds in (("bc", BC_KINDS), ("grid_kind", GRID_KINDS)):
+            if getattr(self, name) not in kinds:
+                raise SpecError(name, f"must be one of {kinds}, got {getattr(self, name)!r}")
         top = dq_core.MAX_UNIFORM_POINTS if self.grid_kind == UNIFORM else dq_core.MAX_POINTS
         for name in ("nx", "ny"):
             npts = getattr(self, name)
             if not float(npts).is_integer():
-                raise GridError(name, f"must be an integer, got {npts}")
+                raise SpecError(name, f"must be an integer, got {npts}")
             object.__setattr__(self, name, int(npts))
             if not 5 <= npts <= top:
-                raise GridError(
+                raise SpecError(
                     name, f"must be in [5, {top}] on a {self.grid_kind} grid, got {npts}"
                 )
         if self.bc == CLAMPED and self.nx == self.ny == 5:
             # the one interior node, the center, carries no membrane action
-            raise GridError("nx", "must not be 5 on a clamped plate with ny = 5")
+            raise SpecError("nx", "must not be 5 on a clamped plate with ny = 5")
+        derive_material(self)  # holds the reciprocity rule, 1 - nu12 nu21 > 0
 
     @classmethod
     def isotropic(
@@ -147,21 +140,21 @@ class PlateSpec:
         grid_kind: str = CHEBYSHEV,
     ) -> "PlateSpec":
         """Isotropic shortcut: equal moduli and the standard shear modulus."""
-        _check_poisson(nu)  # before G = E / (2 (1 + nu)), which fails at nu = -1
-        return cls(
+        spec = cls(  # checked with g12 = e: G = E / (2 (1 + nu)) fails at nu = -1
             a=a,
             b=a if b is None else b,
             h=h,
             e1=e,
             e2=e,
             nu12=nu,
-            g12=e / (2.0 * (1.0 + nu)),
+            g12=e,
             bc=bc,
             q=q,
             nx=nx,
             ny=ny,
             grid_kind=grid_kind,
         )
+        return replace(spec, g12=e / (2.0 * (1.0 + nu)))
 
 
 @dataclass(frozen=True)
@@ -183,11 +176,11 @@ class DerivedMaterial:
 
 
 def derive_material(spec: PlateSpec) -> DerivedMaterial:
-    """Compute derived elastic constants, enforcing reciprocity."""
+    """Derived elastic constants; PlateSpec refuses mu <= 0 here, before mu divides."""
     nu21 = spec.nu12 * spec.e2 / spec.e1
     mu = 1.0 - spec.nu12 * nu21
     if mu <= 0:
-        raise MaterialError(f"1 - nu12*nu21 = {mu:.6g} must be positive")
+        raise SpecError("material", f"1 - nu12*nu21 = {mu:.6g} must be positive")
     h3 = spec.h**3
     d1 = spec.e1 * h3 / (12.0 * mu)
     d2 = spec.e2 * h3 / (12.0 * mu)
@@ -292,8 +285,8 @@ class AssembledSystem:
     written from its terms as ``h4``, serves the linear solve and is the
     Jacobian's base.  ``inplane_inverse`` is B^-1, formed once on the live
     unknowns and laid out on all 2n, zero on U's and V's center lines;
-    ``inplane_rcond`` is LAPACK's estimate of B's reciprocal condition
-    number in the 1-norm.
+    ``inplane_rcond`` is LAPACK's estimate of B's reciprocal condition number
+    in the infinity norm, its rows scaled to unit size (see ``_invert_inplane``).
     """
 
     spec: PlateSpec
@@ -322,24 +315,25 @@ class AssembledSystem:
 
 
 def _invert_inplane(b: np.ndarray) -> tuple[np.ndarray, float]:
-    """B^-1 of a C-ordered B, and LAPACK's estimate of its reciprocal
-    condition number.  B^T is B's Fortran-ordered view, so one buffer holds
-    B, then the LU of B^T, then B^-T, whose transpose is B^-1."""
-    bt = b.T
-    anorm = lapack.dlange("1", bt)  # 1-norm of B^T, with no |B| temporary
-    lu, piv, _ = lapack.dgetrf(bt, overwrite_a=True)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * diag.max():
+    """B^-1 of a C-ordered B, and LAPACK's rcond of S B, B with its rows
+    scaled by powers of two to max-norms in [1/2, 1).  Below lu_solve's
+    warning bound B is refused; scaled, that rule ignores the units and the
+    aspect ratio, which weigh U's rows against V's, and S rounds nothing.  B^T
+    is B's Fortran-ordered view: one buffer holds S B, the LU of B^T S, then
+    S^-1 B^-T, whose rows S scales back to B^-T."""
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(b.max(axis=1), -b.min(axis=1)))[1])
+    b *= scale[:, None]
+    lu, piv, info, rcond = _lu_factor(b.T)
+    if info > 0 or rcond < lapack.dlamch("E"):
         raise DecouplingError(
-            "in-plane block system is numerically singular "
-            f"(pivot ratio {diag.min() / diag.max():.3e})"
+            f"in-plane block system is numerically singular (rcond {rcond:.3e})"
         )
-    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
     lwork, _ = lapack.dgetri_lwork(len(lu))
     x, info = lapack.dgetri(lu, piv, lwork=int(lwork), overwrite_lu=True)
     if info != 0:
         raise ValueError(f"dgetri: info {info}")
-    return x.T, float(rcond)
+    x *= scale[:, None]
+    return x.T, rcond
 
 
 def assemble(
@@ -635,14 +629,20 @@ def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return _transverse(sys, hw, _inplane_fields(sys, hw))
 
 
-def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """a^-1 rhs by scipy's getrf, gecon and getrs: a singular a raises LinAlgError,
-    an rcond below lamch('E') warns.  A Fortran-ordered a is factored in place."""
-    anorm = lapack.dlange("1", a)
+def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """getrf's LU of a, in place if a is Fortran-ordered, its info (> 0 for an
+    exact zero pivot) and gecon's estimate of a's 1-norm rcond."""
+    anorm = lapack.dlange("1", a)  # with no |a| temporary
     lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
+    return lu, piv, info, float(lapack.dgecon(lu, anorm)[0])
+
+
+def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """a^-1 rhs by ``_lu_factor`` and getrs: a singular a raises LinAlgError,
+    an rcond below lamch('E') warns.  A Fortran-ordered a is factored in place."""
+    lu, piv, info, rcond = _lu_factor(a)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    rcond, _ = lapack.dgecon(lu, anorm)
     if rcond < lapack.dlamch("E"):
         warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g})", LinAlgWarning, stacklevel=2)
     return lapack.dgetrs(lu, piv, rhs)[0]

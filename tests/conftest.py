@@ -63,3 +63,15 @@ def dense_operator(sys, k):
         c * np.kron(factor(sys.bcx, ix), factor(sys.bcy, iy))
         for c, ix, iy in sys.terms[k - 1]
     )
+
+
+def count_calls(monkeypatch, module, name):
+    """The (args, kwargs) of every call to ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from dqplate import dq_core, newton_solver, plate_model
 from dqplate.case_runner import (
     EXIT_NO_CONVERGENCE,
@@ -34,18 +35,6 @@ def write_case(tmp_path, doc, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
-
-
-def count_calls(monkeypatch, module, name):
-    """The (args, kwargs) of every call to ``module.name`` from now on."""
-    calls, real = [], getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def read_csv(path):
@@ -103,6 +92,12 @@ def test_missing_required_key(tmp_path):
 def with_block(**blocks):
     doc = json.loads(json.dumps(SS_CASE))
     doc.update(blocks)
+    return doc
+
+
+def with_plate(**plate):
+    doc = json.loads(json.dumps(SS_CASE))
+    doc["plate"].update(plate)
     return doc
 
 
@@ -195,6 +190,18 @@ ORTHOTROPIC = {"e1": 18.7e6, "e2": 1.3e6, "nu12": 0.3, "g12": 0.6e6}
         ),
         (clamped(with_grid(nx=5, ny=5)), "plate.grid.nx"),
         (clamped(with_block(bench={"grids": [5]})), "bench.grids[0]"),
+        (with_plate(a=0.0), "plate.a: must be positive"),
+        (with_plate(b=-1.0), "plate.b: must be positive"),
+        (with_plate(h=0.0), "plate.h: must be positive"),
+        (with_material({"e": 0.0, "nu": 0.25}), "plate.material.e: must be positive"),
+        (with_material({**ORTHOTROPIC, "e1": 0.0}), "plate.material.e1: must be positive"),
+        (with_material({**ORTHOTROPIC, "e2": -1.0}), "plate.material.e2: must be positive"),
+        (with_material({**ORTHOTROPIC, "g12": 0.0}), "plate.material.g12: must be positive"),
+        (with_plate(bc="free"), "plate.bc: "),
+        (
+            with_material({"e1": 1e6, "e2": 4e6, "nu12": 0.5, "g12": 4e5}),
+            "plate.material: 1 - nu12*nu21 = 0 must be positive",
+        ),
     ],
     ids=["empty-loads", "zero-repeats", "non-boolean", "reference-without-n",
          "bad-jacobian", "mixed-material", "poisson-minus-one", "grid-too-small",
@@ -202,7 +209,9 @@ ORTHOTROPIC = {"e1": 18.7e6, "e2": 1.3e6, "nu12": 0.3, "g12": 0.6e6}
          "repeated-convergence-loads", "non-reciprocal-orthotropic", "nu12-above-one",
          "uniform-nx", "uniform-ny", "uniform-bench-grid", "uniform-study-grid",
          "uniform-reference", "orthotropic-comparison", "two-kind-comparison",
-         "delta-past-second-node", "clamped-5x5", "clamped-bench-5x5"],
+         "delta-past-second-node", "clamped-5x5", "clamped-bench-5x5", "zero-a",
+         "negative-b", "zero-h", "zero-e", "zero-e1", "negative-e2", "zero-g12",
+         "unknown-bc", "zero-reciprocity"],
 )
 def test_invalid_field_names_its_path(tmp_path, doc, path):
     with pytest.raises(CaseError) as err:

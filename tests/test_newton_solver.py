@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
 
+from conftest import count_calls
+from dqplate import newton_solver, plate_model
 from dqplate.newton_solver import (
     FINITE_DIFFERENCE,
     SJT_ANALYTIC,
@@ -14,7 +16,7 @@ from dqplate.newton_solver import (
     newton,
     solve_plate,
 )
-from dqplate.plate_model import build_system, residual
+from dqplate.plate_model import SpecError, build_system, residual
 
 
 def test_scalar_square_root():
@@ -159,13 +161,20 @@ def test_sweep_deflection_increases(table1_clamped):
     assert all(b > a for a, b in zip(centers, centers[1:]))
 
 
-def test_sweep_input_validation(table1_ss):
+def test_sweep_input_validation(table1_ss, monkeypatch):
     with pytest.raises(ValueError):
         load_sweep(table1_ss, [1.0, 0.5])
     with pytest.raises(ValueError, match="at least one load"):
         load_sweep(table1_ss, [])
     with pytest.raises(ValueError, match="q must be finite"):
         load_sweep(table1_ss, [float("nan")])
+    # a non-finite load anywhere is refused before the system is built
+    builds = count_calls(monkeypatch, plate_model, "build_system")
+    solves = count_calls(monkeypatch, newton_solver, "solve_plate")
+    for loads in ([0.5, 1.0, float("nan"), 2.0], [1.0, float("inf")], [float("nan")]):
+        with pytest.raises(SpecError, match="^q must be finite"):
+            load_sweep(table1_ss, loads)
+    assert builds == solves == []
     # a one-load ladder takes any finite q, as solve_plate does
     for q in (0.0, -2.0):
         (pt,) = load_sweep(table1_ss, [q])

@@ -22,9 +22,8 @@ from dqplate.plate_model import (
     PARITY_W,
     AssemblyError,
     DecouplingError,
-    GridError,
-    MaterialError,
     PlateSpec,
+    SpecError,
     assemble,
     build_system,
     coupled_residual,
@@ -90,12 +89,16 @@ def test_zero_poisson_limit():
 
 
 def test_invalid_material_rejected():
-    spec = PlateSpec(
-        a=1.0, b=1.0, h=0.01, e1=1e6, e2=4e6, nu12=0.9, g12=4e5,
-        bc=CLAMPED, q=1.0, nx=7, ny=7,
-    )
-    with pytest.raises(MaterialError):
-        derive_material(spec)
+    """Reciprocity, 1 - nu12 nu21 > 0, is a PlateSpec rule: a spec that breaks
+    it is refused when it is constructed, and names the material.  At
+    mu = 0 exactly the rule is met before mu divides anything."""
+    for nu12, mu in ((0.9, "-2.24"), (0.5, "0")):
+        with pytest.raises(SpecError, match=rf"^1 - nu12\*nu21 = {mu} must be positive") as err:
+            PlateSpec(
+                a=1.0, b=1.0, h=0.01, e1=1e6, e2=4e6, nu12=nu12, g12=4e5,
+                bc=CLAMPED, q=1.0, nx=7, ny=7,
+            )
+        assert err.value.field == "material"
 
 
 def test_spec_validation():
@@ -141,11 +144,11 @@ def test_spec_refuses_grids_it_cannot_solve():
     a non-integral size would build a skewed grid.  Clamped 5x9 is solved with
     membrane action, and integral floats and numpy integers are sizes."""
     args = dict(a=100.0, h=1.0, e=2.1e6, nu=0.316, q=300.0, bc=CLAMPED)
-    with pytest.raises(GridError, match="^nx must not be 5 on a clamped plate") as err:
+    with pytest.raises(SpecError, match="^nx must not be 5 on a clamped plate") as err:
         PlateSpec.isotropic(**args, nx=5, ny=5)
     assert err.value.field == "nx"
     for nx, ny, name in ((7.5, 7, "nx"), (7, 7.5, "ny")):
-        with pytest.raises(GridError, match=f"^{name} must be an integer, got 7.5"):
+        with pytest.raises(SpecError, match=f"^{name} must be an integer, got 7.5"):
             PlateSpec.isotropic(**args, nx=nx, ny=ny)
     for npts in (7.0, np.int64(7)):
         spec = PlateSpec.isotropic(**args, nx=npts, ny=npts)
@@ -356,8 +359,41 @@ def test_singular_inplane_block_raises_decoupling_error(table1_ss):
     has odd order and is centro-antisymmetric."""
     ops = bc_builder.build_ss(dq_core.diff_matrices(dq_core.make_grid(7, CHEBYSHEV)))
     ops = replace(ops, second=np.zeros_like(ops.second))
-    with pytest.raises(DecouplingError, match="pivot ratio"):
+    with pytest.raises(DecouplingError, match="rcond"):
         assemble(replace(table1_ss, nx=7, ny=7), ops, ops)
+
+
+def test_ill_conditioned_inplane_block_raises_decoupling_error():
+    """B is refused by gecon's rcond, the bound at which lu_solve warns, not
+    by its pivots: the unit upper-triangular 60 x 60 block with -1 above the
+    diagonal has pivot ratio 1 but rcond 2.9e-20, and an inverse of 2.9e17."""
+    b = np.eye(60) - np.triu(np.ones((60, 60)), 1)
+    with pytest.raises(DecouplingError, match=r"rcond \d\.\d+e-20"):
+        pm._invert_inplane(b)
+
+
+def test_inplane_rule_ignores_row_scale():
+    """Rows scaled by powers of two from 2^-60 to 2^60 leave B's rcond as it
+    is and scale B^-1's columns back exactly, so units and aspect ratio do
+    not move the refusal bound."""
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
+    d = np.ldexp(1.0, rng.integers(-60, 61, size=8))
+    inverse, rcond = pm._invert_inplane(b.copy())
+    scaled_inverse, scaled_rcond = pm._invert_inplane(d[:, None] * b)
+    assert scaled_rcond == rcond
+    np.testing.assert_array_equal(scaled_inverse * d, inverse)
+
+
+def test_near_incompressible_uniform_plate_is_not_refused():
+    """Simply supported uniform 21 at nu = 0.99 has B's raw rcond 6e-17,
+    below lamch('E'), only because its U and V rows differ in scale; with
+    its rows scaled, rcond is 4e-12 and the plate is accepted."""
+    spec = PlateSpec.isotropic(
+        a=1.0, h=0.01, e=1e6, nu=0.99, q=1.0, nx=21, ny=21,
+        bc=SIMPLY_SUPPORTED, grid_kind=UNIFORM,
+    )
+    assert build_system(spec).inplane_rcond > 1e-12
 
 
 def test_assemble_rejects_mismatched_operators(table1_ss):
