@@ -1,10 +1,11 @@
 """Case-file driven command line: solve, sweep, bench, converge.
 
 Cases are plain JSON documents, validated strictly and in one pass by
-``parse_case``: the schema checks keys and JSON types, and every plate and
+``parse_case``: the schema checks keys and JSON types, every plate and
 grid the case implies is built as a PlateSpec, which holds every plate
-rule.  The run modes only run: a missing block is the one case error they
-raise.  Each run writes CSV artifacts with a header row, '.' decimals and
+rule, the solver block as a newton_solver.SolverOptions, and each load
+ladder goes through newton_solver.load_ladder.  The run modes only run: a
+missing block is the one case error they raise.  Each run writes CSV artifacts with a header row, '.' decimals and
 12 significant digits, so outputs are comparable across implementations.
 
 Exit codes: 0 success, 2 unreadable or invalid case file or bad --out, 3
@@ -28,7 +29,7 @@ import numpy as np
 from . import bc_builder, dq_core, linear_bending, newton_solver, plate_model
 from .bc_builder import CLAMPED
 from .dq_core import CHEBYSHEV, UNIFORM
-from .newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC
+from .newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC, SolverOptions
 from .plate_model import PlateSpec, SpecError
 
 EXIT_OK = 0
@@ -45,13 +46,6 @@ _JACOBIAN_ALIASES = {"sjt": SJT_ANALYTIC, "fd": FINITE_DIFFERENCE}
 
 class CaseError(ValueError):
     """Invalid case file; the message carries the offending field path."""
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = newton_solver.DEFAULT_TOL
-    max_iter: int = newton_solver.DEFAULT_MAX_ITER
-    jacobian: str = SJT_ANALYTIC
 
 
 @dataclass(frozen=True)
@@ -128,25 +122,21 @@ def _choice(options: dict):
     return check
 
 
-def _list_of(item, increasing=False):
+def _list_of(item):
     def check(value, path):
         if not isinstance(value, list) or not value:
             raise CaseError(f"{path}: expected a non-empty list")
-        items = [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
-        if increasing and any(b <= a for a, b in zip(items, items[1:])):
-            raise CaseError(f"{path}: must be strictly increasing")
-        return items
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
     return check
 
 
-_number = _scalar(_NUMBER, "a number")  # PlateSpec holds the plate rules
+# PlateSpec, SolverOptions and newton_solver.load_ladder hold the rules
+_number = _scalar(_NUMBER, "a number")
 _positive = _scalar(_NUMBER, "a number", lambda x: x > 0, "must be positive")
 _count = _scalar(int, "an integer", lambda x: x >= 1, "must be at least 1")
-_grid_size = _scalar(int, "an integer")
+_integer = _scalar(int, "an integer")
 _boolean = _scalar(bool, "a boolean")
-# A load ladder: load_sweep warm-starts each load from the one before.
-_load_ladder = _list_of(_positive, increasing=True)
 _grid_kind = _choice(_GRID_ALIASES)
 
 # The keys of each material form, each with the PlateSpec fields it gives.
@@ -168,8 +158,8 @@ _PLATE = {
     "q": (_number, _REQUIRED),
     "grid": (
         {
-            "nx": (_grid_size, _REQUIRED),
-            "ny": (_grid_size, _REQUIRED),
+            "nx": (_integer, _REQUIRED),
+            "ny": (_integer, _REQUIRED),
             "kind": (_grid_kind, CHEBYSHEV),
         },
         _REQUIRED,
@@ -206,23 +196,31 @@ def _plate(node, path) -> PlateSpec:
 
 
 _SOLVER = {
-    "tol": (_positive, newton_solver.DEFAULT_TOL),
-    "max_iter": (_count, newton_solver.DEFAULT_MAX_ITER),
+    "tol": (_number, newton_solver.DEFAULT_TOL),
+    "max_iter": (_integer, newton_solver.DEFAULT_MAX_ITER),
     "jacobian": (_choice(_JACOBIAN_ALIASES), SJT_ANALYTIC),
 }
 
 
+def _options(solver: SolverOptions, fields: dict, path: str) -> SolverOptions:
+    """``solver`` with ``fields`` replaced; a SpecError names its path below ``path``."""
+    try:
+        return replace(solver, **fields)
+    except SpecError as exc:
+        raise CaseError(f"{path}.{exc.field}: {exc.rule}") from exc
+
+
 def _solver(node, path) -> SolverOptions:
-    return SolverOptions(**_read(node, _SOLVER, path))
+    return _options(SolverOptions(), _read(node, _SOLVER, path), path)
 
 
-_SWEEP = {"loads": (_load_ladder, _REQUIRED)}
-_BENCH = {"grids": (_list_of(_grid_size), _REQUIRED), "repeats": (_count, 3)}
+_SWEEP = {"loads": (_list_of(_number), _REQUIRED)}
+_BENCH = {"grids": (_list_of(_integer), _REQUIRED), "repeats": (_count, 3)}
 _CONVERGENCE = {
-    "grids": (_list_of(_grid_size), _REQUIRED),
+    "grids": (_list_of(_integer), _REQUIRED),
     "kinds": (_list_of(_grid_kind), [CHEBYSHEV]),
-    "reference": ({"n": (_grid_size, _REQUIRED), "kind": (_grid_kind, CHEBYSHEV)}, None),
-    "loads": (_load_ladder, None),
+    "reference": ({"n": (_integer, _REQUIRED), "kind": (_grid_kind, CHEBYSHEV)}, None),
+    "loads": (_list_of(_number), None),
     "linear_comparison": (_boolean, False),
     "delta": (_positive, 1e-5),
 }
@@ -254,9 +252,13 @@ def parse_case(path: str | Path) -> Case:
         ) from exc
     doc = _read(doc, _CASE, "")
     plate = doc["plate"]
+    sweep = doc["sweep"] or _absent(_SWEEP)
     bench = doc["bench"] or _absent(_BENCH)
     conv = doc["convergence"] or _absent(_CONVERGENCE)
     ref = conv["reference"]
+    for path, loads in (("sweep.loads", sweep["loads"]), ("convergence.loads", conv["loads"])):
+        if loads is not None:
+            _checked(path, newton_solver.load_ladder, plate, loads)
     # every grid the case implies is a PlateSpec, which checks it
     for i, npts in enumerate(bench["grids"] or []):
         _checked(f"bench.grids[{i}]", replace, plate, nx=npts, ny=npts)
@@ -278,7 +280,7 @@ def parse_case(path: str | Path) -> Case:
     return Case(
         spec=plate,
         solver=doc["solver"],
-        sweep_loads=(doc["sweep"] or _absent(_SWEEP))["loads"],
+        sweep_loads=sweep["loads"],
         bench_grids=bench["grids"],
         bench_repeats=bench["repeats"],
         conv_grids=conv["grids"],
@@ -529,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         case = parse_case(args.case)
         overrides = _read(given, {k: _SOLVER[k] for k in given}, "solver")
-        case = replace(case, solver=replace(case.solver, **overrides))
+        case = replace(case, solver=_options(case.solver, overrides, "solver"))
         out_dir = Path(args.out)
         _checked("--out", out_dir.mkdir, parents=True, exist_ok=True)
         return runner(case, out_dir)

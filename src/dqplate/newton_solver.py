@@ -14,6 +14,7 @@ Convergence is measured on the max-norm of the residual, default tolerance 1e-5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import plate_model
-from .plate_model import AssembledSystem, PlateSpec, SolutionField
+from .plate_model import AssembledSystem, PlateSpec, SolutionField, SpecError
 
 SJT_ANALYTIC = "sjt_analytic"
 FINITE_DIFFERENCE = "finite_difference"
@@ -35,6 +36,47 @@ MAX_HALVINGS = 6
 
 ResidualFn = Callable[[np.ndarray], np.ndarray]
 JacobianFn = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Newton's tolerance, iteration budget and Jacobian strategy.
+
+    Every rule on them is checked here, and a broken one raises SpecError;
+    ``newton``, ``solve_plate`` and ``load_sweep`` build one from their
+    arguments before they do anything else.
+    """
+
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    jacobian: str = SJT_ANALYTIC
+
+    def __post_init__(self):
+        if not math.isfinite(self.tol):  # NaN included
+            raise SpecError("tol", "must be finite")
+        if self.tol <= 0:
+            raise SpecError("tol", "must be positive")
+        if not isinstance(self.max_iter, (int, np.integer)):  # else range() fails mid-run
+            raise SpecError("max_iter", f"must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
+            raise SpecError("max_iter", "must be at least 1")
+        if self.jacobian not in STRATEGIES:
+            raise SpecError(
+                "jacobian", f"unknown strategy {self.jacobian!r}; expected one of {STRATEGIES}"
+            )
+
+
+def load_ladder(spec: PlateSpec, q_values) -> list[float]:
+    """The loads of a sweep of ``spec``, as floats.  A ladder is non-empty,
+    finite (PlateSpec refuses a non-finite load) and strictly increasing, as
+    each load is warm-started from the one before; a broken rule raises
+    SpecError, field "loads" (or "q" for a non-finite load)."""
+    loads = [replace(spec, q=float(q)).q for q in q_values]
+    if not loads:
+        raise SpecError("loads", "must hold at least one load")
+    if any(b <= a for a, b in zip(loads, loads[1:])):
+        raise SpecError("loads", "must be strictly increasing")
+    return loads
 
 
 @dataclass
@@ -68,12 +110,11 @@ def newton(
     Returns the last iterate together with a report; divergence (singular
     Jacobian, non-finite values, iteration budget) is reported rather than
     raised so callers can dump diagnostics.  ``jacobian_fn`` must return a
-    new array on every call: the step's LU may overwrite it.
+    new array on every call: the step's LU may overwrite it.  ``tol`` and
+    ``max_iter`` are checked by SolverOptions; the label only names the
+    strategy in the report.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    SolverOptions(tol, max_iter)
     w = np.array(w0, dtype=float).copy()
     report = NewtonReport(
         iterations=0, residual_history=[], converged=False,
@@ -166,11 +207,10 @@ class PlateSolution:
 
 
 def _make_jacobian_fn(sys: AssembledSystem, strategy: str) -> JacobianFn:
-    if strategy == SJT_ANALYTIC:
-        return lambda w: plate_model.jacobian(sys, w)
+    """The Jacobian of one of STRATEGIES, which SolverOptions has checked."""
     if strategy == FINITE_DIFFERENCE:
         return lambda w: fd_jacobian(lambda z: plate_model.residual(sys, z), w)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    return lambda w: plate_model.jacobian(sys, w)
 
 
 def _system_for(spec: PlateSpec, system: AssembledSystem | None) -> AssembledSystem:
@@ -190,7 +230,9 @@ def solve_plate(
     w0: np.ndarray | None = None,
     system: AssembledSystem | None = None,
 ) -> PlateSolution:
-    """Assemble (unless given), start from the linear solution, iterate."""
+    """Check the options, assemble (unless given), start from the linear
+    solution, iterate."""
+    SolverOptions(tol, max_iter, strategy)
     sys = _system_for(spec, system)
     if w0 is None:
         w0 = plate_model.linear_solve(sys)
@@ -227,19 +269,15 @@ def load_sweep(
 ) -> list[SweepPoint]:
     """Solve a ladder of pressures, warm-starting each from the previous.
 
-    Any non-empty, strictly increasing ladder of finite loads is accepted.
-    Each load is solved on a ``with_load`` copy of ``system``, which must have
-    been built for ``spec`` as in ``solve_plate``, or of one built here.  The
-    first load starts from its own linear solution.  On a failed step the
-    partial table is returned with a non-converged marker row appended.
+    The options and the ladder (``load_ladder``, loads of any sign) are
+    checked before anything is built.  Each load is solved on a
+    ``with_load`` copy of ``system``, which must have been built for
+    ``spec`` as in ``solve_plate``, or of one built here.  The first load
+    starts from its own linear solution.  On a failed step the partial table
+    is returned with a non-converged marker row appended.
     """
-    # PlateSpec refuses a non-finite load here, before anything is built
-    q_values = [replace(spec, q=float(q)).q for q in q_values]
-    if not q_values:
-        raise ValueError("sweep needs at least one load")
-    if any(b <= a for a, b in zip(q_values, q_values[1:])):
-        raise ValueError("sweep loads must be strictly increasing")
-
+    SolverOptions(tol, max_iter, strategy)
+    q_values = load_ladder(spec, q_values)
     base = _system_for(spec, system)
     rows: list[SweepPoint] = []
     warm: np.ndarray | None = None

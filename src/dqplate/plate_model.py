@@ -46,6 +46,7 @@ membrane forces, H7/H8 the scaled first-derivative maps along x and y.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -66,9 +67,11 @@ class DecouplingError(RuntimeError):
 
 
 class SpecError(ValueError):
-    """A value PlateSpec refuses: ``field``, a PlateSpec field or "material"
-    for the elastic constants together, breaks ``rule``.  The message is
-    "field rule", or the rule alone for the material, whose rule names it."""
+    """An input that breaks one of its rules: ``field`` breaks ``rule``.  The
+    field is one of a PlateSpec ("material" for the elastic constants
+    together), of newton_solver.SolverOptions, or "loads" for a load ladder.
+    The message is "field rule", or the rule alone for the material, whose
+    rule names it."""
 
     def __init__(self, field: str, rule: str):
         super().__init__(rule if field == "material" else f"{field} {rule}")
@@ -100,7 +103,7 @@ class PlateSpec:
 
     def __post_init__(self):
         for name in ("a", "b", "h", "e1", "e2", "g12", "q"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise SpecError(name, "must be finite")
         for name in ("a", "b", "h", "e1", "e2", "g12"):
             if getattr(self, name) <= 0:
@@ -123,7 +126,10 @@ class PlateSpec:
         if self.bc == CLAMPED and self.nx == self.ny == 5:
             # the one interior node, the center, carries no membrane action
             raise SpecError("nx", "must not be 5 on a clamped plate with ny = 5")
-        derive_material(self)  # holds the reciprocity rule, 1 - nu12 nu21 > 0
+        for name in _SCALES:  # stored as floats, whose overflow derive_material catches
+            if type(getattr(self, name)) is not float:  # numpy's would warn instead
+                object.__setattr__(self, name, float(getattr(self, name)))
+        derive_material(self)  # holds the reciprocity and float-range rules
 
     @classmethod
     def isotropic(
@@ -140,21 +146,21 @@ class PlateSpec:
         grid_kind: str = CHEBYSHEV,
     ) -> "PlateSpec":
         """Isotropic shortcut: equal moduli and the standard shear modulus."""
-        spec = cls(  # checked with g12 = e: G = E / (2 (1 + nu)) fails at nu = -1
+        fields = dict(
             a=a,
             b=a if b is None else b,
             h=h,
             e1=e,
             e2=e,
             nu12=nu,
-            g12=e,
             bc=bc,
             q=q,
             nx=nx,
             ny=ny,
             grid_kind=grid_kind,
         )
-        return replace(spec, g12=e / (2.0 * (1.0 + nu)))
+        cls(g12=e, **fields)  # checked with g12 = e: G = E / (2 (1 + nu)) fails at nu = -1
+        return cls(g12=e / (2.0 * (1.0 + nu)), **fields)
 
 
 @dataclass(frozen=True)
@@ -175,19 +181,47 @@ class DerivedMaterial:
     c: float
 
 
+# The plate's numbers, whose sizes the derived constants take (derive_material).
+_SCALES = ("a", "b", "h", "e1", "e2", "nu12", "g12", "q")
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
 def derive_material(spec: PlateSpec) -> DerivedMaterial:
-    """Derived elastic constants; PlateSpec refuses mu <= 0 here, before mu divides."""
+    """Derived elastic constants.  PlateSpec refuses mu <= 0 here, before mu
+    divides, and a plate that takes a constant assembly derives out of the
+    float range: the rigidities, the operator coefficients, alpha, the betas,
+    the load scale and its cube (the order of the residual's cubic terms at
+    the linear start) must each be finite and zero or a normal float, as
+    ``_invert_inplane``'s row scaling breaks on a subnormal row.  The refusal
+    names the plate constant furthest from 1 in magnitude, the likeliest cause."""
     nu21 = spec.nu12 * spec.e2 / spec.e1
     mu = 1.0 - spec.nu12 * nu21
     if mu <= 0:
         raise SpecError("material", f"1 - nu12*nu21 = {mu:.6g} must be positive")
-    h3 = spec.h**3
-    d1 = spec.e1 * h3 / (12.0 * mu)
-    d2 = spec.e2 * h3 / (12.0 * mu)
-    dk = spec.g12 * h3 / 12.0
-    d3 = nu21 * d1 + 2.0 * dk
-    c = spec.nu12 * spec.e2 + mu * spec.g12
-    return DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c)
+    try:  # Python floats raise these where numpy's would give inf and warn
+        h3 = spec.h**3
+        d1 = spec.e1 * h3 / (12.0 * mu)
+        d2 = spec.e2 * h3 / (12.0 * mu)
+        dk = spec.g12 * h3 / 12.0
+        d3 = nu21 * d1 + 2.0 * dk
+        c = spec.nu12 * spec.e2 + mu * spec.g12
+        mat = DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c)
+        terms, alpha, betas = _coefficients(spec, mat)
+        load = abs(load_scale(spec, mat))  # the one signed constant
+        derived = [nu21, d1, d2, dk, d3, c, alpha, *betas, load, load**3]
+        derived += [coef for op_terms in terms for coef, _, _ in op_terms]
+    except (OverflowError, ZeroDivisionError):
+        derived = [math.inf]
+    # all finite (else their sum is not) and each zero or a normal float
+    if not (math.isfinite(sum(derived)) and min(filter(None, derived)) >= _TINY):
+        size = {name: abs(math.log(abs(getattr(spec, name)))) for name in _SCALES
+                if getattr(spec, name)}
+        raise SpecError(
+            max(size, key=size.get),
+            "takes a derived constant (rigidity, operator coefficient, alpha or "
+            "load scale) out of the float range",
+        )
+    return mat
 
 
 def load_scale(spec: PlateSpec, mat: DerivedMaterial) -> float:
@@ -247,6 +281,31 @@ def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
         ((2.0 * mat.d3 / mat.d1) * rab**2, _D2, _D2),
         ((mat.d2 / mat.d1) * rab**4, _ID, _D4),
     )
+
+
+def _coefficients(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
+    """The scalars ``assemble`` derives from a plate: the Kronecker terms of
+    H1..H8, alpha, and the betas, the coefficient c of each transverse term.
+
+    Aspect-ratio powers follow from mapping the plate to the unit square;
+    the transverse equation is normalized by the x bending rigidity, so its
+    load is q a^4 / (D1 h)."""
+    a, b, h = spec.a, spec.b, spec.h
+    rab, ex, ey = a / b, (h / a) ** 2, (h / b) ** 2
+    shear = mat.mu * spec.g12
+    terms = (
+        ((spec.e1, _D2, _ID), (shear * rab**2, _ID, _D2)),                   # H1
+        ((mat.c, _D1, _D1),),                                                # H2
+        ((spec.e2, _ID, _D2), (shear * rab**-2, _D2, _ID)),                  # H3
+        _bending_terms(spec, mat),                                           # H4
+        ((spec.e1 * ex, _D2, _ID), (spec.nu12 * spec.e2 * ey, _ID, _D2)),    # H5
+        ((spec.e2 * ey, _ID, _D2), (mat.nu21 * spec.e1 * ex, _D2, _ID)),     # H6
+        ((ex, _D1, _ID),),                                                   # H7
+        ((ey, _ID, _D1),),                                                   # H8
+    )
+    alpha = a**4 / (mat.mu * mat.d1 * h)
+    betas = ((a / h) ** 2, (b / h) ** 2, 2.0 * mat.mu * spec.g12 / mat.c)
+    return terms, alpha, betas
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +383,7 @@ def _invert_inplane(b: np.ndarray) -> tuple[np.ndarray, float]:
     scale = np.ldexp(1.0, -np.frexp(np.maximum(b.max(axis=1), -b.min(axis=1)))[1])
     b *= scale[:, None]
     lu, piv, info, rcond = _lu_factor(b.T)
-    if info > 0 or rcond < lapack.dlamch("E"):
+    if info > 0 or not rcond >= lapack.dlamch("E"):  # a NaN B gives a NaN rcond
         raise DecouplingError(
             f"in-plane block system is numerically singular (rcond {rcond:.3e})"
         )
@@ -343,11 +402,9 @@ def assemble(
     per-direction reduced matrices, H4, and the in-plane inverse.
 
     Kronecker products place the x-direction matrices on the row index and
-    the y-direction ones on the column index of the row-stacked fields.
-    Aspect-ratio powers follow from mapping the plate to the unit square;
-    the transverse equation is normalized by the x bending rigidity, so its
-    load is q a^4 / (D1 h).  H4 and the in-plane block are written from the
-    terms, and the block is inverted here.
+    the y-direction ones on the column index of the row-stacked fields; the
+    terms' coefficients are ``_coefficients``.  H4 and the in-plane block are
+    written from the terms, and the block is inverted here.
     """
     if bcx.bc_kind != spec.bc or bcy.bc_kind != spec.bc:
         raise AssemblyError("boundary operator kind does not match the spec")
@@ -360,22 +417,7 @@ def assemble(
     fx, fy = fold(bcx), fold(bcy)
     nx, ny = fx.shape[-1], fy.shape[-1]
     n = nx * ny
-    a, b, h = spec.a, spec.b, spec.h
-    rab, ex, ey = a / b, (h / a) ** 2, (h / b) ** 2
-    shear = mat.mu * spec.g12
-
-    terms = (
-        ((spec.e1, _D2, _ID), (shear * rab**2, _ID, _D2)),                   # H1
-        ((mat.c, _D1, _D1),),                                                # H2
-        ((spec.e2, _ID, _D2), (shear * rab**-2, _D2, _ID)),                  # H3
-        _bending_terms(spec, mat),                                           # H4
-        ((spec.e1 * ex, _D2, _ID), (spec.nu12 * spec.e2 * ey, _ID, _D2)),    # H5
-        ((spec.e2 * ey, _ID, _D2), (mat.nu21 * spec.e1 * ex, _D2, _ID)),     # H6
-        ((ex, _D1, _ID),),                                                   # H7
-        ((ey, _ID, _D1),),                                                   # H8
-    )
-    alpha = a**4 / (mat.mu * mat.d1 * h)
-    betas = ((a / h) ** 2, (b / h) ** 2, 2.0 * mat.mu * spec.g12 / mat.c)  # c of each term
+    terms, alpha, betas = _coefficients(spec, mat)
     x_mix = np.zeros((2, 8, nx, 4, nx))
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:

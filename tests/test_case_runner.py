@@ -1,6 +1,7 @@
 """Case-file parsing, CSV artifacts, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from dqplate.case_runner import (
 from dqplate.dq_core import CHEBYSHEV
 from dqplate.newton_solver import FINITE_DIFFERENCE, SJT_ANALYTIC
 
+ROOT = Path(__file__).resolve().parent.parent
 SS_CASE = {
     "plate": {
         "a": 100.0,
@@ -248,6 +250,30 @@ def test_invalid_override_names_its_path(tmp_path, capsys, override, path):
     assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
+@pytest.mark.parametrize(
+    "key, value", [("h", 1e200), ("a", 1e100), ("h", 1e-200), ("q", 1e300)],
+    ids=["huge-h", "huge-a", "tiny-h", "huge-q"],
+)
+def test_extreme_plate_constant_exits_2(tmp_path, capsys, key, value):
+    """A finite constant that takes a derived one out of the float range (h^3,
+    a^4, D1 = 0, the cubic terms at the linear start) is refused at its path."""
+    doc = json.loads((ROOT / "cases" / "table1_simply_supported.json").read_text())
+    doc["plate"][key] = value
+    out = tmp_path / "out"
+    assert main(["solve", str(write_case(tmp_path, doc)), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: plate.{key}: ")
+    assert not out.exists()
+
+
+def test_readme_schema_example_parses(tmp_path):
+    """The case schema README documents, its // comments stripped, is a valid case."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    case = parse_case(write_case(tmp_path, json.loads(re.sub(r"//.*", "", block))))
+    assert case.sweep_loads == [0.25, 0.5, 1.0]
+    assert case.solver.max_iter == 25
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
 def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
     """--out naming a file, or a path below one, is a bad argument: exit 2, an
@@ -364,6 +390,20 @@ def test_sweep_mode(tmp_path):
     assert len(rows) == 3
     centers = [float(r[1]) for r in rows]
     assert centers == sorted(centers)
+
+
+def test_sweep_ladder_takes_loads_of_any_sign(tmp_path):
+    """A case file's ladder may hold zero and negative loads, as load_sweep's
+    may; W -> -W under q -> -q, so the q = -1 row is the q = 1 center negated."""
+    out = tmp_path / "out"
+    path = write_case(tmp_path, with_block(sweep={"loads": [-1.0, 0.0, 1.0]}))
+    assert main(["sweep", str(path), "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out / "sweep.csv")
+    assert [(r[0], r[3]) for r in rows] == [("-1", "true"), ("0", "true"), ("1", "true")]
+    q1 = write_case(tmp_path, SS_CASE, "q1.json")
+    assert main(["solve", str(q1), "--out", str(out)]) == EXIT_OK
+    _, (summary,) = read_csv(out / "summary.csv")
+    assert float(rows[0][1]) == pytest.approx(-float(summary[0]), rel=1e-9)
 
 
 def test_sweep_requires_block(tmp_path):

@@ -52,6 +52,31 @@ def test_unknown_strategy_rejected(table1_ss):
         solve_plate(table1_ss, strategy="bogus")
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_non_finite_tol_rejected(tol):
+    """A NaN tol would never be met and an infinite one always would."""
+    with pytest.raises(SpecError, match="^tol must be finite"):
+        newton(lambda x: x, lambda x: np.eye(x.size), np.ones(2), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "options, field",
+    [({"strategy": "bogus"}, "jacobian"), ({"tol": -1.0}, "tol"),
+     ({"tol": np.nan}, "tol"), ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter")],
+    ids=["bogus-strategy", "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter"],
+)
+def test_options_refused_before_any_build(table1_ss, monkeypatch, options, field):
+    """SolverOptions checks the options of solve_plate and load_sweep before
+    either builds a system, and names the refused one."""
+    builds = count_calls(monkeypatch, plate_model, "build_system")
+    for run in (lambda: solve_plate(table1_ss, **options),
+                lambda: load_sweep(table1_ss, [0.5, 1.0], **options)):
+        with pytest.raises(SpecError) as err:
+            run()
+        assert err.value.field == field
+    assert builds == []
+
+
 def test_singular_jacobian_reported():
     w, report = newton(
         lambda x: np.array([1.0]),

@@ -127,6 +127,25 @@ def test_spec_rejects_non_finite_values(field, value, name):
         PlateSpec.isotropic(**{**args, field: value})
 
 
+@pytest.mark.parametrize(
+    "changes, name",
+    [({"h": 1e200}, "h"), ({"a": 1e100, "b": 1e100}, "a"), ({"h": 1e-200}, "h"),
+     ({"q": 1e300}, "q"), ({"e2": 1e-320, "g12": 1e-320}, "e2")],
+    ids=["h-cubed-overflows", "a-to-the-4-overflows", "d1-underflows",
+         "cubic-terms-overflow", "subnormal-moduli"],
+)
+def test_spec_refuses_constants_out_of_float_range(changes, name):
+    """Finite constants whose derived ones overflow or leave the normal
+    floats are refused at construction, naming the most extreme constant.
+    Subnormal moduli would give B subnormal rows, whose power-of-two row
+    scale overflows, and an all-NaN B^-1."""
+    args = dict(a=1.0, b=1.0, h=0.01, e1=1.0, e2=1.0, nu12=0.3, g12=0.4,
+                bc=SIMPLY_SUPPORTED, q=1.0, nx=7, ny=7)
+    with pytest.raises(SpecError, match=f"^{name} takes a derived constant") as err:
+        PlateSpec(**{**args, **changes})
+    assert err.value.field == name
+
+
 def test_spec_limits_uniform_grids():
     """Uniform grids stop at MAX_UNIFORM_POINTS; Chebyshev ones go on to
     MAX_POINTS."""
@@ -369,6 +388,15 @@ def test_ill_conditioned_inplane_block_raises_decoupling_error():
     diagonal has pivot ratio 1 but rcond 2.9e-20, and an inverse of 2.9e17."""
     b = np.eye(60) - np.triu(np.ones((60, 60)), 1)
     with pytest.raises(DecouplingError, match=r"rcond \d\.\d+e-20"):
+        pm._invert_inplane(b)
+
+
+def test_nan_inplane_block_raises_decoupling_error():
+    """A NaN in B makes gecon's rcond NaN, which compares false with any
+    bound: B is refused, not inverted to NaN."""
+    b = np.eye(6)
+    b[2, 3] = np.nan
+    with pytest.raises(DecouplingError, match="rcond nan"):
         pm._invert_inplane(b)
 
 
