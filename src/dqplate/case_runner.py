@@ -9,7 +9,8 @@ missing block is the one case error they raise.  Each run writes CSV artifacts w
 12 significant digits, so outputs are comparable across implementations.
 
 Exit codes: 0 success, 2 unreadable or invalid case file or bad --out, 3
-solver did not converge (the iteration report is dumped to stderr).
+solver did not converge (the iteration report is dumped to stderr) or a plate
+whose in-plane block or bending operator is numerically singular.
 """
 
 from __future__ import annotations
@@ -527,7 +528,8 @@ def main(argv: list[str] | None = None) -> int:
         "bench": run_bench,
         "converge": run_convergence,
     }[args.mode]
-    # exit 2 for an invalid case (its file, an override or the mode's block) or --out
+    # exit 2 for an invalid case (its file, an override or the mode's block) or
+    # --out, 3 for a plate whose in-plane block or bending operator is singular
     try:
         case = parse_case(args.case)
         overrides = _read(given, {k: _SOLVER[k] for k in given}, "solver")
@@ -535,9 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         _checked("--out", out_dir.mkdir, parents=True, exist_ok=True)
         return runner(case, out_dir)
-    except CaseError as exc:
+    except (CaseError, plate_model.DecouplingError, plate_model.AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_PARSE if isinstance(exc, CaseError) else EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -104,22 +104,8 @@ def make_grid(n: int, kind: str = CHEBYSHEV) -> Grid1D:
 
 
 def diff_matrix_first(grid: Grid1D) -> np.ndarray:
-    """First-derivative weighting matrix from the Lagrange closed form.
-
-    Off-diagonal: a_ij = c_i / (c_j (x_i - x_j)) with c_i the product of
-    (x_i - x_k) over k != i.  Diagonal: negative row sum, which makes every
-    row annihilate constants regardless of rounding.
-    """
-    x = grid.nodes
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    # Grid1D keeps nodes apart, so no factor vanishes; N <= 31 keeps the
-    # log-free products well inside double range
-    c = np.prod(dx, axis=1)
-    a = c[:, None] / (c[None, :] * dx)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
+    """First-derivative weighting matrix, the ``first`` of ``diff_matrices``."""
+    return diff_matrices(grid).first
 
 
 @dataclass(frozen=True)
@@ -138,22 +124,30 @@ class DiffMatrices:
 
 
 def diff_matrices(grid: Grid1D) -> DiffMatrices:
-    """Order 1 from the Lagrange form, orders 2..4 by the weight recursion.
+    """Order 1 from the Lagrange closed form, orders 2..4 by the weight
+    recursion, all on one table of node gaps x_i - x_j.
 
-    w_ij^(m) = m (w_ij^(1) w_ii^(m-1) - w_ij^(m-1) / (x_i - x_j)) for i != j,
-    with m the order being produced and the diagonal again by negative row
-    sum.  Equivalent to matrix powers of the first-order matrix but
-    numerically cleaner.
+    Order 1 off the diagonal: a_ij = c_i / (c_j (x_i - x_j)) with c_i the
+    product of (x_i - x_k) over k != i.  Order m from order m - 1:
+    w_ij^(m) = m (w_ij^(1) w_ii^(m-1) - w_ij^(m-1) / (x_i - x_j)) for i != j.
+    Every diagonal is the negative row sum, which makes every row annihilate
+    constants regardless of rounding.  Equivalent to matrix powers of the
+    first-order matrix but numerically cleaner.
     """
-    first = diff_matrix_first(grid)
     x = grid.nodes
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
+    # Grid1D keeps nodes apart, so no factor vanishes; N <= 31 keeps the
+    # log-free products well inside double range
+    c = np.prod(dx, axis=1)
+    first = c[:, None] / (c[None, :] * dx)
+    np.fill_diagonal(first, 0.0)
+    np.fill_diagonal(first, -first.sum(axis=1))
 
     mats = [first]
     w = first
     for m in (2, 3, 4):
-        nxt = m * (first * np.diag(w)[:, None] - w / dx)
+        nxt = m * (first * w.diagonal()[:, None] - w / dx)
         np.fill_diagonal(nxt, 0.0)
         np.fill_diagonal(nxt, -nxt.sum(axis=1))
         mats.append(nxt)

@@ -80,7 +80,7 @@ def series_coefficient(bc_kind: str, aspect: float = 1.0) -> float:
 
 def isotropic_material(spec: PlateSpec) -> plate_model.DerivedMaterial:
     """The spec's material; ValueError unless d1 = d2 = d3, as the series assume."""
-    mat = plate_model.derive_material(spec)
+    mat = spec.material
     if abs(mat.d2 - mat.d1) > 1e-9 * mat.d1 or abs(mat.d3 - mat.d1) > 1e-9 * mat.d1:
         raise ValueError("linear comparison references require an isotropic spec")
     return mat
@@ -109,12 +109,15 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     grid: value rows on the edges, then derivative rows (slope if clamped,
     curvature if simply supported) on the auxiliary x-lines, then on the rest
     of the auxiliary y-lines."""
-    mat = plate_model.derive_material(spec)
+    mat = spec.material
     nx, ny = spec.nx, spec.ny
     kind = spec.grid_kind
-    gx, gy = (bc_builder.delta_grid(dq_core.make_grid(m, kind), delta) for m in (nx, ny))
-    dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
-    op = plate_model.bending_operator(spec, mat, *map(plate_model.factor_stack, (dmx, dmy)))
+    # one grid, weight set and factor stack per distinct point count
+    grids = {m: bc_builder.delta_grid(dq_core.make_grid(m, kind), delta) for m in {nx, ny}}
+    weights = {m: dq_core.diff_matrices(grid) for m, grid in grids.items()}
+    stacks = {m: plate_model.factor_stack(dm) for m, dm in weights.items()}
+    dmx, dmy = weights[nx], weights[ny]
+    op = plate_model.bending_operator(spec, mat, stacks[nx], stacks[ny])
     order = "first" if spec.bc == CLAMPED else "second"
     ix, iy = np.eye(nx), np.eye(ny)
     # row (i, j) of the operator is the equation at node (x_i, y_j)
@@ -128,4 +131,4 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
     # the unknowns are the values at every node of the moved grid
     w = plate_model.solve_bending(op, rhs.ravel())
-    return plate_model._interp_center(w.reshape(nx, ny), gx.nodes, gy.nodes)
+    return plate_model._interp_center(w.reshape(nx, ny), dmx.grid.nodes, dmy.grid.nodes)

@@ -85,7 +85,8 @@ class PlateSpec:
     Lengths and moduli in any consistent unit system; ``bc`` applies to all
     four edges.  ``nx``/``ny`` are grid point counts per direction.  Every
     rule on a plate, its material and its grid is checked here, and a
-    broken one raises SpecError.
+    broken one raises SpecError.  ``material`` is the DerivedMaterial that
+    the check derives, kept for assembly and the linear references.
     """
 
     a: float
@@ -100,6 +101,7 @@ class PlateSpec:
     nx: int
     ny: int
     grid_kind: str = CHEBYSHEV
+    material: DerivedMaterial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "h", "e1", "e2", "g12", "q"):
@@ -129,7 +131,8 @@ class PlateSpec:
         for name in _SCALES:  # stored as floats, whose overflow derive_material catches
             if type(getattr(self, name)) is not float:  # numpy's would warn instead
                 object.__setattr__(self, name, float(getattr(self, name)))
-        derive_material(self)  # holds the reciprocity and float-range rules
+        # derive_material holds the reciprocity and float-range rules
+        object.__setattr__(self, "material", derive_material(self))
 
     @classmethod
     def isotropic(
@@ -267,7 +270,7 @@ def fold(mats) -> np.ndarray:
     x = factor_stack(mats)
     m = len(x[0])
     half = m - m // 2
-    folded = np.einsum("kij,pjl->pkil", x[:, :half], mirror_maps(m))
+    folded = x[:, :half] @ mirror_maps(m)[:, None]
     if m % 2:
         folded[_ODD_RESULT, half - 1] = 0.0
     return folded
@@ -349,7 +352,6 @@ class AssembledSystem:
     """
 
     spec: PlateSpec
-    material: DerivedMaterial
     bcx: BoundaryOperatorSet
     bcy: BoundaryOperatorSet
     h4: np.ndarray
@@ -413,15 +415,17 @@ def assemble(
             f"operator grids ({bcx.grid.n}, {bcy.grid.n}) do not match the "
             f"spec grids ({spec.nx}, {spec.ny})"
         )
-    mat = derive_material(spec)
-    fx, fy = fold(bcx), fold(bcy)
+    mat = spec.material
+    fx = fold(bcx)
+    fy = fx if bcy is bcx else fold(bcy)
     nx, ny = fx.shape[-1], fy.shape[-1]
     n = nx * ny
     terms, alpha, betas = _coefficients(spec, mat)
-    x_mix = np.zeros((2, 8, nx, 4, nx))
+    coef = np.zeros((8, 4, 4))  # [k, iy, ix]: c of the term c kron(X[ix], Y[iy]) of H_k
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
-            x_mix[:, k, :, iy] += c * fx[:, ix]
+            coef[k, iy, ix] = c
+    x_mix = coef.reshape(32, 4) @ fx.reshape(2, 4, -1)  # [p, (k, iy), (i, j)]
     h4 = _kron_sum(terms[3], fx[EVEN], fy[EVEN])
 
     # B = [[H1, H2], [H2, H3]], each column block folded by its field's parity,
@@ -442,11 +446,11 @@ def assemble(
         inverse[r, :rx, :ry, c, :cx, :cy] = b_inv[at[r], at[c]].reshape(rx, ry, cx, cy)
 
     return AssembledSystem(
-        spec, mat, bcx, bcy,
+        spec, bcx, bcy,
         h4=h4,
         factors=(fx, fy),
         terms=terms,
-        x_mix=x_mix.reshape(2, 8, nx, -1),
+        x_mix=x_mix.reshape(2, 8, 4, nx, nx).transpose(0, 1, 3, 2, 4).reshape(2, 8, nx, -1),
         y_all=fy.transpose(0, 3, 1, 2).reshape(2, ny, -1),
         jac_table=_jacobian_table(terms, alpha, betas),
         load=load_scale(spec, mat) * np.ones(n),
@@ -461,9 +465,12 @@ def assemble(
 
 
 def reduced_operators(spec: PlateSpec) -> tuple[BoundaryOperatorSet, BoundaryOperatorSet]:
-    """Grid, weighting matrices and boundary reduction of x, then of y."""
-    grids = (dq_core.make_grid(npts, spec.grid_kind) for npts in (spec.nx, spec.ny))
-    return tuple(bc_builder.build_operators(dq_core.diff_matrices(g), spec.bc) for g in grids)
+    """Grid, weighting matrices and boundary reduction of x, then of y: one
+    set serves both when nx == ny, as the kind and the support are shared."""
+    grids = {m: dq_core.make_grid(m, spec.grid_kind) for m in {spec.nx, spec.ny}}
+    weights = {m: dq_core.diff_matrices(grid) for m, grid in grids.items()}
+    sets = {m: bc_builder.build_operators(dm, spec.bc) for m, dm in weights.items()}
+    return sets[spec.nx], sets[spec.ny]
 
 
 def build_system(spec: PlateSpec) -> AssembledSystem:
@@ -478,7 +485,7 @@ def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
     and the in-plane inverse, formed once for all loads.
     """
     spec = replace(sys.spec, q=q)
-    return replace(sys, spec=spec, load=load_scale(spec, sys.material) * np.ones(sys.n))
+    return replace(sys, spec=spec, load=load_scale(spec, spec.material) * np.ones(sys.n))
 
 
 def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
@@ -775,7 +782,8 @@ def recover_fields(
     """Map quarter vectors to physical full-grid fields: F of parity (px, py),
     as its (x, y) array, becomes R_x P_px F P_py^T R_y^T (mirror maps, then R)."""
     w = _check_size(sys, w)
-    rx, ry = (ops.recovery @ mirror_maps(ops.n_interior) for ops in (sys.bcx, sys.bcy))
+    rx = sys.bcx.recovery @ mirror_maps(sys.bcx.n_interior)
+    ry = rx if sys.bcy is sys.bcx else sys.bcy.recovery @ mirror_maps(sys.bcy.n_interior)
     w_full, u_full, v_full = (
         rx[px] @ f.reshape(sys.quarter_shape) @ ry[py].T
         for f, (px, py) in ((w, PARITY_W), (u, PARITY_U), (v, PARITY_V))

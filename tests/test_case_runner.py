@@ -603,8 +603,8 @@ def test_linear_comparison_needs_one_kind(tmp_path, capsys):
 
 def test_converge_builds_each_grid_once(tmp_path, monkeypatch):
     """A grid's load ladder and its built-in linear center share one system:
-    one build per study grid plus the reference's, and four weight sets per
-    study grid, two for its system and two for the auxiliary-point grid."""
+    one build per study grid plus the reference's, and one weight set per
+    square system plus one per study grid's square auxiliary-point grid."""
     doc = _comparison_case(["chebyshev"])
     doc["convergence"].update(grids=[7, 9, 11], reference={"n": 13})
     path = write_case(tmp_path, doc)
@@ -612,4 +612,36 @@ def test_converge_builds_each_grid_once(tmp_path, monkeypatch):
     weights = count_calls(monkeypatch, dq_core, "diff_matrices")
     assert main(["converge", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert [args[0].nx for args, _ in builds] == [13, 7, 9, 11]
-    assert len(weights) == 2 + 4 * 3
+    assert len(weights) == 1 + 2 * 3
+
+
+# An accepted plate whose in-plane block _invert_inplane refuses (rcond 1.375e-18).
+SINGULAR_INPLANE = with_plate(
+    a=0.1066, b=7.31e-9, h=1514.0,
+    material={"e1": 7.41e-6, "e2": 4.79e-16, "nu12": 0.3, "g12": 9.55},
+)
+
+
+@pytest.mark.parametrize(
+    "mode, block",
+    [("solve", {}), ("sweep", {"sweep": {"loads": [0.5, 1.0]}}),
+     ("bench", {"bench": {"grids": [7]}}), ("converge", {"convergence": {"grids": [7]}})],
+)
+def test_singular_inplane_block_exits_3(tmp_path, capsys, mode, block):
+    """DecouplingError from any run mode is one error line and exit 3."""
+    path = write_case(tmp_path, {**SINGULAR_INPLANE, **block})
+    assert main([mode, str(path), "--out", str(tmp_path / "out")]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "error: in-plane block system is numerically singular (rcond 1.375e-18)\n"
+
+
+def test_singular_bending_operator_exits_3(tmp_path, capsys, monkeypatch):
+    """AssemblyError from solve_bending (the Newton start) is one error line and exit 3."""
+
+    def singular(op, rhs):
+        raise plate_model.AssemblyError("singular bending operator")
+
+    monkeypatch.setattr(plate_model, "solve_bending", singular)
+    path = write_case(tmp_path, SS_CASE)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "error: singular bending operator\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
 
-from conftest import dense_operator
+from conftest import count_calls, dense_operator
 from dimensional_oracle import solve_dimensional
 from fullgrid_oracle import FullGrid, mirror, restrict
 from dqplate import bc_builder, dq_core, plate_model as pm
@@ -86,6 +86,15 @@ def test_zero_poisson_limit():
     mat = derive_material(spec)
     np.testing.assert_allclose(mat.c, spec.g12, rtol=1e-14)
     np.testing.assert_allclose(mat.d3, 2 * mat.dk, rtol=1e-14)
+
+
+def test_spec_keeps_its_material(orthotropic_spec):
+    """The spec keeps the material its rule check derives; a replaced spec
+    derives its own, and the material takes no part in equality."""
+    assert orthotropic_spec.material == derive_material(orthotropic_spec)
+    stiffer = replace(orthotropic_spec, e1=2 * orthotropic_spec.e1)
+    assert stiffer.material == derive_material(stiffer) != orthotropic_spec.material
+    assert replace(stiffer, e1=orthotropic_spec.e1) == orthotropic_spec
 
 
 def test_invalid_material_rejected():
@@ -433,6 +442,76 @@ def test_assemble_rejects_mismatched_operators(table1_ss):
     dm9 = dq_core.diff_matrices(dq_core.make_grid(9, CHEBYSHEV))
     with pytest.raises(AssemblyError):
         assemble(table1_ss, good, bc_builder.build_ss(dm9))
+
+
+def _reduced(spec, npts):
+    """A boundary operator set of its own for one direction of ``spec``."""
+    grid = dq_core.make_grid(npts, spec.grid_kind)
+    return bc_builder.build_operators(dq_core.diff_matrices(grid), spec.bc)
+
+
+def assert_same_bits(a, b):
+    """a and b are equal bit for bit: every array, float and string reachable
+    through dataclass fields and tuples."""
+    if is_dataclass(a):
+        assert type(a) is type(b)
+        for f in fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+    else:
+        assert repr(a) == repr(b)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("plate", ["isotropic", "orthotropic"])
+@pytest.mark.parametrize("kind", [CHEBYSHEV, UNIFORM])
+@pytest.mark.parametrize("bc", [SIMPLY_SUPPORTED, CLAMPED])
+def test_shared_operator_set_is_exact(bc, kind, plate, table1_ss, orthotropic_spec):
+    """A square spec's system, built on one operator set for x and y, is bit
+    for bit the system assembled from two sets built apart."""
+    base = table1_ss if plate == "isotropic" else orthotropic_spec
+    spec = replace(base, bc=bc, grid_kind=kind, nx=9, ny=9)
+    sys = build_system(spec)
+    assert sys.bcy is sys.bcx and sys.factors[1] is sys.factors[0]
+    assert_same_bits(sys, assemble(spec, _reduced(spec, 9), _reduced(spec, 9)))
+
+
+def test_rectangular_grid_builds_two_sets(orthotropic_spec):
+    sys = build_system(replace(orthotropic_spec, nx=7, ny=9))
+    assert (sys.bcx.grid.n, sys.bcy.grid.n) == (7, 9)
+    assert sys.factors[0].shape[-1] == 3 and sys.factors[1].shape[-1] == 4
+
+
+@pytest.mark.parametrize("bc", [SIMPLY_SUPPORTED, CLAMPED])
+@pytest.mark.parametrize("ny", [9, 11])
+def test_x_mix_is_the_term_by_term_layout(bc, ny, orthotropic_spec):
+    """x_mix[p, k, :, iy] is the sum of c X_p[ix] over the terms c kron(X[ix],
+    Y[iy]) of H_k, laid out here term by term."""
+    sys = build_system(replace(orthotropic_spec, bc=bc, nx=9, ny=ny))
+    fx = sys.factors[0]
+    nx = fx.shape[-1]
+    ref = np.zeros((2, 8, nx, 4, nx))
+    for k, op_terms in enumerate(sys.terms):
+        for c, ix, iy in op_terms:
+            ref[:, k, :, iy] += c * fx[:, ix]
+    assert_same_bits(sys.x_mix, ref.reshape(2, 8, nx, -1))
+
+
+@pytest.mark.parametrize("ny, sets", [(9, 1), (11, 2)])
+def test_build_makes_one_operator_set_per_distinct_direction(table1_ss, monkeypatch, ny, sets):
+    """Weights, boundary reduction and fold run once for a square grid, and
+    once per direction otherwise."""
+    calls = [
+        count_calls(monkeypatch, module, name)
+        for module, name in ((dq_core, "diff_matrices"), (bc_builder, "build_operators"),
+                             (pm, "fold"))
+    ]
+    build_system(replace(table1_ss, nx=9, ny=ny))
+    assert [len(c) for c in calls] == [sets] * 3
 
 
 def test_with_load_only_changes_load(table1_ss):
