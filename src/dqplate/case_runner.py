@@ -381,7 +381,7 @@ def run_sweep(case: Case, out_dir: Path) -> int:
 
 def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
     """bench.csv rows of one grid, None if a solve fails: one timed solve per
-    strategy, and each Jacobian timed (best of ``repeats``) at the SJT W*."""
+    strategy, and each Jacobian timed (best of ``repeats``) from the SJT W*."""
     sys_n = plate_model.build_system(spec)
     n = sys_n.bcx.n_interior * sys_n.bcy.n_interior  # unknowns per field on the full grid
     rows, w_star = [], None
@@ -397,7 +397,8 @@ def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
         if w_star is None:  # the SJT solve's, as it runs first
             w_star = sol.field.w_stack
         jac = newton_solver._make_jacobian_fn(sys_n, strategy)
-        jac_ms = min(timeit.repeat(lambda: jac(w_star), number=1, repeat=repeats)) * 1e3
+        jac_ms = min(timeit.repeat(lambda: jac(plate_model.evaluate(sys_n, w_star)),
+                                   number=1, repeat=repeats)) * 1e3
         rows.append([n, strategy, jac_ms, solve_ms, sol.report.iterations])
     return rows
 

@@ -6,9 +6,11 @@ inverse.  It runs on the symmetric quarter's unknowns (see ``plate_model``).
 The constant in-plane block's inverse is formed when the system is
 assembled: the residual applies it as one product, and the analytic
 Jacobian turns its in-plane sensitivity solve into products with 1-D
-factors (see ``plate_model.jacobian``).  A half-step fallback engages only
-when a full step increases the residual, so benchmark timings stay
-comparable to the undamped method while runaway steps are caught.
+factors (see ``plate_model.jacobian``), read from the evaluation of the
+accepted candidate: each candidate W is evaluated once.  A half-step
+fallback engages only when a full step increases the residual, so
+benchmark timings stay comparable to the undamped method while runaway
+steps are caught.
 Convergence is measured on the max-norm of the residual, default tolerance 1e-5.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,9 +35,6 @@ DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 25
 FD_STEP = 1e-6
 MAX_HALVINGS = 6
-
-ResidualFn = Callable[[np.ndarray], np.ndarray]
-JacobianFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,23 @@ class NewtonReport:
 
 
 def newton(
-    residual_fn: ResidualFn,
-    jacobian_fn: JacobianFn,
+    residual_fn: Callable[[np.ndarray], Any],
+    jacobian_fn: Callable[[Any], np.ndarray],
     w0: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     strategy_label: str = SJT_ANALYTIC,
-) -> tuple[np.ndarray, NewtonReport]:
+) -> tuple[Any, NewtonReport]:
     """Iterate w <- w - J(w)^-1 r(w) until max|r| <= tol.
 
-    Returns the last iterate together with a report; divergence (singular
+    ``residual_fn(w)`` returns r(w), or an evaluation with r(w) as its ``r``
+    (``plate_model.evaluate``).  ``jacobian_fn`` takes the accepted iterate's
+    evaluation (w for bare residuals; the best candidate of a halved step)
+    and returns a new array, which the step's LU may overwrite.  Returns the
+    last accepted iterate's evaluation and a report; divergence (singular
     Jacobian, non-finite values, iteration budget) is reported rather than
-    raised so callers can dump diagnostics.  ``jacobian_fn`` must return a
-    new array on every call: the step's LU may overwrite it.  ``tol`` and
-    ``max_iter`` are checked by SolverOptions; the label only names the
-    strategy in the report.
+    raised so callers can dump diagnostics.  ``tol`` and ``max_iter`` are
+    checked by SolverOptions; the label only names the strategy in the report.
     """
     SolverOptions(tol, max_iter)
     w = np.array(w0, dtype=float).copy()
@@ -121,22 +122,26 @@ def newton(
         jacobian_strategy=strategy_label,
     )
 
-    t0 = perf_counter()
-    r = residual_fn(w)
-    report.residual_time += perf_counter() - t0
+    def evaluated(z):  # what jacobian_fn takes at z, and r(z)
+        t0 = perf_counter()
+        out = residual_fn(z)
+        report.residual_time += perf_counter() - t0
+        return (z, out) if isinstance(out, np.ndarray) else (out, out.r)
+
+    x, r = evaluated(w)
     rnorm = float(np.abs(r).max()) if r.size else 0.0
     report.residual_history.append(rnorm)
     if not np.isfinite(rnorm):
         report.failure = "non-finite residual at the starting point"
-        return w, report
+        return x, report
 
     for _ in range(max_iter):
         if rnorm <= tol:
             report.converged = True
-            return w, report
+            return x, report
 
         t0 = perf_counter()
-        jac = jacobian_fn(w)
+        jac = jacobian_fn(x)
         report.jacobian_time += perf_counter() - t0
 
         t0 = perf_counter()
@@ -145,40 +150,38 @@ def newton(
         except np.linalg.LinAlgError:
             report.linear_time += perf_counter() - t0
             report.failure = f"singular Jacobian at iteration {report.iterations}"
-            return w, report
+            return x, report
         report.linear_time += perf_counter() - t0
         del jac  # holds the LU now; freed before the next Jacobian is built
 
         # Full step first; halve only while the residual norm would grow.
-        best_w, best_r, best_norm = None, None, np.inf
+        best, best_norm = None, np.inf
         scale = 1.0
         for _k in range(MAX_HALVINGS + 1):
             cand = w - scale * step
-            t0 = perf_counter()
-            r_cand = residual_fn(cand)
-            report.residual_time += perf_counter() - t0
+            x_cand, r_cand = evaluated(cand)
             norm_cand = float(np.abs(r_cand).max())
             if np.isfinite(norm_cand) and norm_cand < best_norm:
-                best_w, best_r, best_norm = cand, r_cand, norm_cand
+                best, best_norm = (cand, x_cand, r_cand), norm_cand
             if np.isfinite(norm_cand) and norm_cand <= rnorm:
                 break
             scale *= 0.5
-        if best_w is None:
+        if best is None:
             report.failure = "non-finite iterate"
             report.iterations += 1
-            return w, report
+            return x, report
 
-        w, r, rnorm = best_w, best_r, best_norm
+        (w, x, r), rnorm = best, best_norm
         report.iterations += 1
         report.residual_history.append(rnorm)
 
     report.converged = rnorm <= tol
     if not report.converged:
         report.failure = f"no convergence in {max_iter} iterations"
-    return w, report
+    return x, report
 
 
-def fd_jacobian(residual_fn: ResidualFn, w: np.ndarray) -> np.ndarray:
+def fd_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian, column j from perturbing w_j.
 
     The perturbation is FD_STEP * max(1, |w_j|), which keeps the
@@ -206,11 +209,11 @@ class PlateSolution:
     report: NewtonReport
 
 
-def _make_jacobian_fn(sys: AssembledSystem, strategy: str) -> JacobianFn:
-    """The Jacobian of one of STRATEGIES, which SolverOptions has checked."""
+def _make_jacobian_fn(sys: AssembledSystem, strategy: str) -> Callable[[Any], np.ndarray]:
+    """The Jacobian of a checked strategy at an evaluation; central differences read its W."""
     if strategy == FINITE_DIFFERENCE:
-        return lambda w: fd_jacobian(lambda z: plate_model.residual(sys, z), w)
-    return lambda w: plate_model.jacobian(sys, w)
+        return lambda ev: fd_jacobian(lambda z: plate_model.residual(sys, z), ev.w)
+    return lambda ev: plate_model.jacobian(sys, ev)
 
 
 def _system_for(spec: PlateSpec, system: AssembledSystem | None) -> AssembledSystem:
@@ -231,21 +234,20 @@ def solve_plate(
     system: AssembledSystem | None = None,
 ) -> PlateSolution:
     """Check the options, assemble (unless given), start from the linear
-    solution, iterate."""
+    solution, iterate; the fields are the last iterate's evaluation's."""
     SolverOptions(tol, max_iter, strategy)
     sys = _system_for(spec, system)
     if w0 is None:
         w0 = plate_model.linear_solve(sys)
-    w, report = newton(
-        lambda z: plate_model.residual(sys, z),
+    ev, report = newton(
+        lambda z: plate_model.evaluate(sys, z),
         _make_jacobian_fn(sys, strategy),
         w0,
         tol=tol,
         max_iter=max_iter,
         strategy_label=strategy,
     )
-    u, v = plate_model.recover_inplane(sys, w)
-    fld = plate_model.recover_fields(sys, w, u, v)
+    fld = plate_model.recover_fields(sys, ev.w, *ev.uv)
     return PlateSolution(system=sys, field=fld, report=report)
 
 

@@ -31,8 +31,9 @@ through the 1-D factors (sum factorization); only H4 and the in-plane block
 B, which LAPACK factors, are made dense by ``kron``, B only on the unknowns
 that parity leaves live.  Each nonlinear term is written once: ``_FORCING``
 lists the in-plane right-hand side's products (A W) o (B W), and
-``_transverse_terms`` the three transverse terms c (S W) o e.  The residual
-and the coupled residual evaluate them; the Jacobian differentiates them
+``_evaluation`` the three transverse terms c (S W) o e.  ``evaluate`` forms
+them at one W once, as an ``Evaluation``, and the coupled residual from
+explicit (U, V); the Jacobian reads an evaluation and differentiates them
 into row-scaled (SJT) operator copies, their coefficients in one table, and
 applies every operator through its 1-D factors, using the same in-plane
 inverse as the residual.  Every BLAS and LAPACK call of the Newton
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -552,32 +554,42 @@ def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
     return np.concatenate([hw[a] * hw[b] + hw[c] * hw[d] for (a, b), (c, d) in _FORCING])
 
 
-def _inplane_fields(sys: AssembledSystem, hw: np.ndarray) -> np.ndarray:
-    """Rows U, V solving B [U; V] = -[l1; l2], as one product with B^-1,
-    without a finite check: a non-finite W gives non-finite fields, which
-    Newton reports."""
-    rhs = -_inplane_forcing(hw)
-    return blas.dgemv(1.0, sys.inplane_inverse.T, rhs, trans=1).reshape(2, sys.n)
+# The residual's evaluation chain at one W, each piece formed once by
+# ``evaluate``: W, the products H_k W (8, n), the in-plane fields [U; V]
+# (2, n), the strains e_k and p_k = c_k H_k W of the transverse terms
+# c_k (H_k W) o e_k, and the residual r, 17 n doubles besides W.
+Evaluation = namedtuple("Evaluation", "w hw uv strains p r")
 
 
-def _transverse_terms(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray):
-    """The nonlinear transverse terms c (H_k W) o e as (c, k, e): a coefficient,
-    the index of the stress operator H_k (H5, H6, H2) and a membrane strain."""
+def _evaluation(sys: AssembledSystem, w: np.ndarray, hw: np.ndarray, uv: np.ndarray):
+    """The Evaluation at W from its products ``hw`` and in-plane fields ``uv``."""
     h7u, h8u = _products(sys, uv[0], PARITY_U, slice(6, 8))
     h7v, h8v = _products(sys, uv[1], PARITY_V, slice(6, 8))
     h7w, h8w = hw[6], hw[7]
-    strains = (h7u + 0.5 * h7w**2, h8v + 0.5 * h8w**2, h8u + h7v + h7w * h8w)
-    return tuple(zip((sys.beta_x, sys.beta_y, sys.gamma), _STRESS, strains))
+    e = (h7u + 0.5 * h7w**2, h8v + 0.5 * h8w**2, h8u + h7v + h7w * h8w)
+    k1, k2, k3 = _STRESS
+    p = (sys.beta_x * hw[k1], sys.beta_y * hw[k2], sys.gamma * hw[k3])
+    r = hw[3] - sys.alpha * (p[0] * e[0] + p[1] * e[1] + p[2] * e[2]) - sys.load
+    return Evaluation(w, hw, uv, e, p, r)
 
 
-def _transverse(sys: AssembledSystem, hw: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Transverse residual H4 W - alpha sum c (H_k W) o e - load."""
-    t1, t2, t3 = (c * hw[k] * e for c, k, e in _transverse_terms(sys, hw, uv))
-    return hw[3] - sys.alpha * (t1 + t2 + t3) - sys.load
+def evaluate(sys: AssembledSystem, w: np.ndarray) -> Evaluation:
+    """The residual's evaluation chain at W (see Evaluation).  U and V solve
+    B [U; V] = -[l1; l2] as one product with B^-1, without a finite check: a
+    non-finite W gives non-finite fields, which Newton reports.  The inverse
+    of the whole block [[H1, H2], [H2, H3]] instead of the paper's elimination
+    inverses of its blocks: equivalent whenever those exist and well defined
+    whenever the block system itself is regular."""
+    w = _check_size(sys, w)
+    hw = _products(sys, w, PARITY_W)
+    rhs = -_inplane_forcing(hw)
+    uv = blas.dgemv(1.0, sys.inplane_inverse.T, rhs, trans=1).reshape(2, sys.n)
+    return _evaluation(sys, w, hw, uv)
 
 
-def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
-    """Exact derivative of ``residual`` with respect to W, Fortran-ordered.
+def jacobian(sys: AssembledSystem, x) -> np.ndarray:
+    """Exact derivative of ``residual`` with respect to W, Fortran-ordered, at
+    an evaluation ``x`` of ``sys``, which it only reads, or at a W it evaluates.
 
     With p_k = c_k S_k W for the transverse terms c_k (S_k W) o e_k,
 
@@ -601,11 +613,9 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     left-hand ones, and is returned in Fortran order, ready to be factored
     in place.
     """
-    w = _check_size(sys, w)
+    # an evaluation made here is not kept: its U, V and r are freed at once
+    _, hw, _, strains, (p1, p2, p3), _ = x if isinstance(x, Evaluation) else evaluate(sys, x)
     n, (nx, ny) = sys.n, sys.quarter_shape
-    hw = _products(sys, w, PARITY_W)
-    terms = _transverse_terms(sys, hw, _inplane_fields(sys, hw))
-    p1, p2, p3 = (c * hw[k] for c, k, _ in terms)
 
     # Y = diag(p1) H7 B_U + diag(p3) H7 B_V + diag(p3) H8 B_U + diag(p2) H8 B_V,
     # with B_U, B_V the row blocks of B^-1 and H7 = c7 kron(A_x, I),
@@ -639,7 +649,7 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     # d[i, X], each a sum over the y factors Y of Y^T diag(v_i) (diag(v_i) for
     # Y = I), v the sources combined by the table: one product, one einsum.
     q7, q8 = p1 * hw[6] + p3 * hw[7], p2 * hw[7] + p3 * hw[6]
-    v = _matmul(sys.jac_table, np.concatenate((hw, (*(e for _, _, e in terms), q7, q8))))
+    v = _matmul(sys.jac_table, np.concatenate((hw, (*strains, q7, q8))))
     g = np.einsum("ylr,xsyil->ixrsl", fy[EVEN, :3], v.reshape(3, 3, 3, nx, ny))
     del v
     f, d = g[:, :, :, :2], g[:, :, :, 2]
@@ -659,23 +669,10 @@ def jacobian(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
     return jt.T
 
 
-def recover_inplane(
-    sys: AssembledSystem, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the linear block system for (U, V) at given W.
-
-    The inverse of the whole block [[H1, H2], [H2, H3]] instead of the
-    paper's elimination inverses of its blocks: equivalent whenever those
-    exist and well defined whenever the block system itself is regular.
-    """
-    u, v = _inplane_fields(sys, _products(sys, _check_size(sys, w), PARITY_W))
-    return u, v
-
-
 def residual(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
-    """Transverse equilibrium residual with the in-plane fields eliminated."""
-    hw = _products(sys, _check_size(sys, w), PARITY_W)
-    return _transverse(sys, hw, _inplane_fields(sys, hw))
+    """Transverse equilibrium residual with the in-plane fields eliminated:
+    ``evaluate``'s r."""
+    return evaluate(sys, w).r
 
 
 def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -728,7 +725,7 @@ def coupled_residual(
     l1, l2 = _inplane_forcing(hw).reshape(2, sys.n)
     h1u, h2u = _products(sys, u, PARITY_U, slice(0, 2))
     h2v, h3v = _products(sys, v, PARITY_V, slice(1, 3))
-    return h1u + h2v + l1, h2u + h3v + l2, _transverse(sys, hw, np.stack([u, v]))
+    return h1u + h2v + l1, h2u + h3v + l2, _evaluation(sys, w, hw, np.stack([u, v])).r
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def test_criterion_6_decoupling_equivalence():
             sol = solve_plate(spec, tol=1e-9)
             assert sol.report.converged
             w = sol.field.w_stack
-            u, v = pm.recover_inplane(sol.system, w)
+            u, v = pm.evaluate(sol.system, w).uv
             r1, r2, r3 = pm.coupled_residual(sol.system, w, u, v)
             worst = max(np.abs(r1).max(), np.abs(r2).max(), np.abs(r3).max())
             assert worst < 1e-8

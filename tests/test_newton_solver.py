@@ -1,5 +1,7 @@
 """Newton iteration behavior, strategies, and load sweeping."""
 
+import sys
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from conftest import count_calls
 from dqplate import newton_solver, plate_model
 from dqplate.newton_solver import (
     FINITE_DIFFERENCE,
+    MAX_HALVINGS,
     SJT_ANALYTIC,
     fd_jacobian,
     load_sweep,
@@ -153,6 +156,105 @@ def test_strategy_equivalence(case, table1_ss, table1_clamped):
     diff = np.abs(sol_a.field.w_stack - sol_f.field.w_stack).max()
     assert diff <= 1e-7 * np.abs(sol_a.field.w_stack).max()
     assert sol_a.report.iterations <= sol_f.report.iterations
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per Newton candidate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", [None, -4.0], ids=["linear-start", "damped"])
+def test_one_evaluation_per_newton_candidate(table1_clamped, monkeypatch, start):
+    """Over a whole solve, H_k W is formed once per Newton candidate, in that
+    candidate's ``evaluate``: the Jacobian reads the accepted candidate's
+    evaluation and the returned fields the last iterate's, and neither forms
+    it again.  Started from -4 W_lin, a step is halved."""
+    system = build_system(table1_clamped)
+    w0 = None if start is None else start * plate_model.linear_solve(system)
+    candidates = count_calls(monkeypatch, plate_model, "evaluate")
+    products = count_calls(monkeypatch, plate_model, "_products")
+    jacobians = count_calls(monkeypatch, plate_model, "jacobian")
+    sol = solve_plate(table1_clamped, w0=w0, system=system)
+    on_w = [args[1] for args, _ in products if args[2] == plate_model.PARITY_W]
+    assert sol.report.converged
+    assert len(jacobians) == sol.report.iterations
+    halvings = len(candidates) - sol.report.iterations - 1
+    assert (halvings > 0) == (start is not None)
+    assert len(on_w) == len(candidates)
+    assert all(z is args[1] for z, (args, _) in zip(on_w, candidates))
+    assert on_w[-1] is sol.field.w_stack
+
+
+@pytest.mark.parametrize("fixture", ["table1_ss", "table1_clamped"])
+def test_damped_steps_start_from_the_accepted_candidate(request, monkeypatch, fixture):
+    """Started from -4 W_lin, a step is halved.  Every step, the one after
+    the halving included, is bitwise the step that ``jacobian`` and
+    ``residual`` give at W of the accepted candidate, the best of the step's
+    trials."""
+    spec = request.getfixturevalue(fixture)
+    system = build_system(spec)
+    w0 = -4.0 * plate_model.linear_solve(system)
+    real_evaluate, real_solve = plate_model.evaluate, plate_model.lu_solve
+    trials, steps = [[]], []  # trials[i]: the evaluations that step i starts from
+
+    def evaluate(s, z):
+        trials[-1].append(real_evaluate(s, z))
+        return trials[-1][-1]
+
+    def lu_solve(a, rhs):
+        steps.append(real_solve(a, rhs))
+        trials.append([])
+        return steps[-1]
+
+    monkeypatch.setattr(plate_model, "evaluate", evaluate)
+    monkeypatch.setattr(plate_model, "lu_solve", lu_solve)
+    sol = solve_plate(spec, w0=w0, system=system)
+    monkeypatch.undo()
+    assert sol.report.converged
+    assert any(len(tried) > 1 for tried in trials[1:len(steps)])
+    for tried, step in zip(trials, steps):
+        w = min(tried, key=lambda ev: np.abs(ev.r).max()).w
+        expected = plate_model.lu_solve(plate_model.jacobian(system, w), residual(system, w))
+        np.testing.assert_array_equal(step, expected)
+
+
+def test_newton_keeps_the_best_candidates_evaluation():
+    """When no halving lowers the residual, newton accepts the best candidate
+    tried and hands its evaluation, not the last one made, to the Jacobian
+    and back to the caller.  |r| is 1 at 0 and above 2 elsewhere, least at
+    -4; the first step, 8, tries -8, -4, -2, ..., -0.125."""
+    evaluation = namedtuple("evaluation", "w r")
+    for max_iter in (1, 2):
+        made, taken = [], []
+
+        def evaluate(w):
+            r = 1.0 if w[0] == 0.0 else 2.0 + (w[0] + 4.0) ** 2 / 100.0
+            made.append(evaluation(w, np.array([r])))
+            return made[-1]
+
+        def jacobian(ev):
+            taken.append(ev)
+            return np.array([[0.125]])
+
+        x, report = newton(evaluate, jacobian, np.zeros(1), max_iter=max_iter)
+        assert made[2].w[0] == -4.0 and report.residual_history[:2] == [1.0, 2.0]
+        assert taken[0] is made[0]
+        if max_iter == 1:
+            assert x is made[2] and len(made) == 1 + 1 + MAX_HALVINGS
+        else:
+            assert taken[1] is made[2]
+
+
+def test_fd_oracle_retains_no_evaluation(table1_ss, monkeypatch, rng):
+    """The central-difference Jacobian keeps none of its 2n residual
+    evaluations: once it returns, only the list here refers to each."""
+    system = build_system(table1_ss)
+    made, real = [], plate_model.evaluate
+    monkeypatch.setattr(plate_model, "evaluate", lambda s, z: made.append(real(s, z)) or made[-1])
+    fd_jacobian(lambda z: residual(system, z), rng.standard_normal(system.n))
+    assert len(made) == 2 * system.n
+    # each held by the list, the loop variable and getrefcount's argument
+    assert [sys.getrefcount(ev) for ev in made] == [3] * len(made)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from dqplate.plate_model import (
     build_system,
     coupled_residual,
     derive_material,
+    evaluate,
     jacobian,
     linear_solve,
     recover_fields,
-    recover_inplane,
     residual,
     with_load,
 )
@@ -593,7 +593,7 @@ def test_l_vectors_scalar_loop_oracle(table1_ss, rng):
 
 def test_recover_inplane_zero(table1_ss):
     sys = build_system(table1_ss)
-    u, v = recover_inplane(sys, np.zeros(sys.n))
+    u, v = evaluate(sys, np.zeros(sys.n)).uv
     assert np.all(u == 0.0) and np.all(v == 0.0)
 
 
@@ -601,7 +601,7 @@ def test_recover_inplane_back_substitution(table1_clamped, rng):
     """The mirrored quarter fields solve the full-grid in-plane equations."""
     sys = build_system(table1_clamped)
     w = rng.standard_normal(sys.n)
-    u, v = recover_inplane(sys, w)
+    u, v = evaluate(sys, w).uv
     full = FullGrid(sys)
     l1, l2 = full.forcing(mirror(sys, PARITY_W) @ w)
     u, v = mirror(sys, PARITY_U) @ u, mirror(sys, PARITY_V) @ v
@@ -630,7 +630,7 @@ def test_recover_inplane_matches_explicit_inverses(rng):
     h10 = np.linalg.solve(h1, h2) - np.linalg.solve(h2, h3)
     u_ref = np.linalg.solve(h9, np.linalg.solve(h3, l2) - np.linalg.solve(h2, l1))
     v_ref = np.linalg.solve(h10, np.linalg.solve(h2, l2) - np.linalg.solve(h1, l1))
-    u, v = recover_inplane(sys, w)
+    u, v = evaluate(sys, w).uv
     np.testing.assert_allclose(mirror(sys, PARITY_U) @ u, u_ref, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(mirror(sys, PARITY_V) @ v, v_ref, rtol=1e-9, atol=1e-12)
 
@@ -701,7 +701,7 @@ def test_inplane_inverse_formed_once_per_system(table1_clamped, rng):
     linear_solve(sys)
     residual(sys, w)
     fd_jacobian(lambda z: residual(sys, z), w)
-    recover_inplane(sys, w)
+    evaluate(sys, w)
     jacobian(sys, w)
     heavier = with_load(sys, 2.0 * sys.spec.q)
     residual(heavier, w)
@@ -801,7 +801,7 @@ def test_linear_ss_center_navier(table1_ss):
     """Chebyshev 9x9 small-deflection center against the double series."""
     sys = build_system(replace(table1_ss, nx=9, ny=9))
     w = linear_solve(sys)
-    u, v = recover_inplane(sys, w)
+    u, v = evaluate(sys, w).uv
     center = recover_fields(sys, w, u, v).center_deflection_ratio
     assert abs(center - 0.00406 * 535.714285714) / (0.00406 * 535.714285714) < 0.005
 
@@ -809,7 +809,7 @@ def test_linear_ss_center_navier(table1_ss):
 def test_linear_clamped_center_series(table1_clamped):
     sys = build_system(replace(table1_clamped, nx=11, ny=11))
     w = linear_solve(sys)
-    u, v = recover_inplane(sys, w)
+    u, v = evaluate(sys, w).uv
     center = recover_fields(sys, w, u, v).center_deflection_ratio
     scale = 3.0 * 100.0**4 / (derive_material(table1_clamped).d1 * 1.0)
     assert abs(center - 0.00126 * scale) / (0.00126 * scale) < 0.01
@@ -933,7 +933,7 @@ def test_decoupled_solution_satisfies_coupled_system(case, table1_ss, table1_cla
     spec = table1_ss if case == "ss" else table1_clamped
     sol = solve_plate(spec, tol=1e-9)
     w = sol.field.w_stack
-    u, v = recover_inplane(sol.system, w)
+    u, v = evaluate(sol.system, w).uv
     r1, r2, r3 = coupled_residual(sol.system, w, u, v)
     assert max(np.abs(r1).max(), np.abs(r2).max(), np.abs(r3).max()) < 1e-8
 
