@@ -185,19 +185,18 @@ def fd_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray], w: np.ndarray) 
     """Central-difference Jacobian, column j from perturbing w_j.
 
     The perturbation is FD_STEP * max(1, |w_j|), which keeps the
-    stencil well-scaled for both small and large components.
+    stencil well-scaled for both small and large components.  J is
+    Fortran-ordered, so the step factors it in place.
     """
     w = np.asarray(w, dtype=float)
-    n = w.size
-    cols = []
-    for j in range(n):
-        d = FD_STEP * max(1.0, abs(w[j]))
-        wp = w.copy()
-        wm = w.copy()
+    steps = FD_STEP * np.maximum(1.0, np.abs(w))
+    jac = np.empty((w.size, w.size), order="F")
+    for j, d in enumerate(steps):
+        wp, wm = w.copy(), w.copy()
         wp[j] += d
         wm[j] -= d
-        cols.append((residual_fn(wp) - residual_fn(wm)) / (2.0 * d))
-    return np.array(cols).T  # Fortran-ordered, so the step factors it in place
+        np.divide(residual_fn(wp) - residual_fn(wm), 2.0 * d, out=jac[:, j])
+    return jac
 
 
 @dataclass(frozen=True)

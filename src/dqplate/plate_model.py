@@ -29,15 +29,15 @@ Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
 folded matrices and is kept only as these terms, every product H_k Z going
 through the 1-D factors (sum factorization); only H4 and the in-plane block
 B, which LAPACK factors, are made dense by ``kron``, B only on the unknowns
-that parity leaves live.  Each nonlinear term is written once: ``_FORCING``
-lists the in-plane right-hand side's products (A W) o (B W), and
-``_evaluation`` the three transverse terms c (S W) o e.  ``evaluate`` forms
-them at one W once, as an ``Evaluation``, and the coupled residual from
-explicit (U, V); the Jacobian reads an evaluation and differentiates them
-into row-scaled (SJT) operator copies, their coefficients in one table, and
-applies every operator through its 1-D factors, using the same in-plane
-inverse as the residual.  Every BLAS and LAPACK call of the Newton
-iteration goes through scipy, and every dense solve through ``lu_solve``.
+that parity leaves live.  ``_FORCING`` lists the in-plane right-hand side's
+products (A W) o (B W), and ``_evaluation`` the three transverse terms
+c (S W) o e.  ``evaluate`` forms them at one W once, as an ``Evaluation``:
+every H_k W in one call, then H7 and H8, single Kronecker terms, on U and V
+in one product each; the coupled residual shares this from explicit (U, V).
+The Jacobian reads an evaluation and differentiates it into row-scaled (SJT)
+operator copies, their coefficients in one table, through the 1-D factors
+and the residual's in-plane inverse.  Every BLAS and LAPACK call of the
+Newton iteration goes through scipy, and every dense solve through ``lu_solve``.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
 equilibrium equations, H2 the mixed-derivative coupling block, H4 the
@@ -340,17 +340,19 @@ class AssembledSystem:
     once, as Kronecker terms.
 
     ``n`` is the number of quarter nodes, the length of every field vector
-    W, U and V.  ``terms`` gives each of H1..H8 as its terms (c, ix, iy)
-    over the folded factor stacks ``factors`` = (X, Y), where X[p] holds the
-    factors for an operand of x parity p (see ``fold``).  ``x_mix`` and
-    ``y_all`` lay the same terms out for ``_products``, per parity: every
-    Y^T side by side, and per operator and y factor the sum of c X;
-    ``jac_table`` does so for ``jacobian`` (see ``_jacobian_table``).  H4,
-    written from its terms as ``h4``, serves the linear solve and is the
-    Jacobian's base.  ``inplane_inverse`` is B^-1, formed once on the live
-    unknowns and laid out on all 2n, zero on U's and V's center lines;
-    ``inplane_rcond`` is LAPACK's estimate of B's reciprocal condition number
-    in the infinity norm, its rows scaled to unit size (see ``_invert_inplane``).
+    W, U and V, an array of ``quarter_shape``, row-major.  ``terms`` gives
+    each of H1..H8 as its terms (c, ix, iy) over the folded factor stacks
+    ``factors`` = (X, Y), where X[p] holds the factors for an operand of x
+    parity p (see ``fold``).  ``x_mix`` and ``y_all`` lay the same terms out
+    for ``_products``, per parity: every Y^T side by side, and per operator
+    and y factor the sum of c X; ``strain_x`` (c7 D1_x) and ``strain_y`` (D1_y^T)
+    lay out H7 and H8 per field for ``_evaluation``, ``jac_table`` the terms
+    for ``jacobian`` (see ``_jacobian_table``).  H4, written from its terms
+    as ``h4``, serves the linear solve and is the Jacobian's base.
+    ``inplane_inverse`` is B^-1, formed once on the live unknowns and laid
+    out on all 2n, zero on U's and V's center lines; ``inplane_rcond`` is
+    LAPACK's estimate of B's reciprocal condition number in the infinity
+    norm, its rows scaled to unit size (see ``_invert_inplane``).
     """
 
     spec: PlateSpec
@@ -361,20 +363,18 @@ class AssembledSystem:
     terms: tuple = field(repr=False)
     x_mix: np.ndarray = field(repr=False)
     y_all: np.ndarray = field(repr=False)
+    strain_x: np.ndarray = field(repr=False)
+    strain_y: np.ndarray = field(repr=False)
     jac_table: np.ndarray = field(repr=False)
     load: np.ndarray
     n: int
+    quarter_shape: tuple[int, int]
     alpha: float
     beta_x: float
     beta_y: float
     gamma: float
     inplane_inverse: np.ndarray = field(repr=False)
     inplane_rcond: float
-
-    @property
-    def quarter_shape(self) -> tuple[int, int]:
-        """Quarter nodes per direction: a field vector is this array, row-major."""
-        return self.factors[0].shape[-1], self.factors[1].shape[-1]
 
 
 def _invert_inplane(b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -428,6 +428,10 @@ def assemble(
         for c, ix, iy in op_terms:
             coef[k, iy, ix] = c
     x_mix = coef.reshape(32, 4) @ fx.reshape(2, 4, -1)  # [p, (k, iy), (i, j)]
+    ((c7, i7, _),), ((_, _, j8),) = terms[6], terms[7]  # c7 kron(D1, I), c8 kron(I, D1)
+    strain_x = np.zeros((2, nx, 2, nx))  # block diagonal, U's parity then V's
+    for f, (px, _) in enumerate((PARITY_U, PARITY_V)):
+        strain_x[f, :, f] = c7 * fx[px, i7]
     h4 = _kron_sum(terms[3], fx[EVEN], fy[EVEN])
 
     # B = [[H1, H2], [H2, H3]], each column block folded by its field's parity,
@@ -454,9 +458,12 @@ def assemble(
         terms=terms,
         x_mix=x_mix.reshape(2, 8, 4, nx, nx).transpose(0, 1, 3, 2, 4).reshape(2, 8, nx, -1),
         y_all=fy.transpose(0, 3, 1, 2).reshape(2, ny, -1),
+        strain_x=strain_x.reshape(2 * nx, 2 * nx),
+        strain_y=np.concatenate((fy[PARITY_U[1], j8].T, fy[PARITY_V[1], j8].T), axis=1),
         jac_table=_jacobian_table(terms, alpha, betas),
         load=load_scale(spec, mat) * np.ones(n),
         n=n,
+        quarter_shape=(nx, ny),
         alpha=alpha,
         beta_x=betas[0],
         beta_y=betas[1],
@@ -522,8 +529,9 @@ def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> n
 
 
 # The in-plane right-hand side [l1; l2]: each block a sum of products
-# (A W) o (B W), given as pairs of operator indices (0 is H1, ..., 7 is H8).
-# A product's W-derivative is the SJT pair diag(B W) A + diag(A W) B.
+# (A W) o (B W), given as pairs of operator indices (0 is H1, ..., 7 is H8),
+# which ``_inplane_forcing`` reads as row views.  A product's W-derivative is
+# the SJT pair diag(B W) A + diag(A W) B.
 _FORCING = (((6, 0), (7, 1)), ((7, 2), (6, 1)))
 # The stress operators of the transverse terms c (H_k W) o e: H5, H6, H2.
 _STRESS = (4, 5, 1)
@@ -550,23 +558,32 @@ def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
 
 
 def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
-    """In-plane right-hand side [l1; l2] from the products H_k W."""
-    return np.concatenate([hw[a] * hw[b] + hw[c] * hw[d] for (a, b), (c, d) in _FORCING])
+    """In-plane right-hand side [l1; l2], ``_FORCING`` on row views of H_k W."""
+    return hw[6:8] * hw[0:3:2] + hw[7:5:-1] * hw[1]
 
 
 # The residual's evaluation chain at one W, each piece formed once by
 # ``evaluate``: W, the products H_k W (8, n), the in-plane fields [U; V]
-# (2, n), the strains e_k and p_k = c_k H_k W of the transverse terms
-# c_k (H_k W) o e_k, and the residual r, 17 n doubles besides W.
+# (2, n), the strains e_k and p_k = c_k H_k W of the transverse terms c_k
+# (H_k W) o e_k, and r: 17 n doubles besides W, keeping no stage temporary.
 Evaluation = namedtuple("Evaluation", "w hw uv strains p r")
 
 
 def _evaluation(sys: AssembledSystem, w: np.ndarray, hw: np.ndarray, uv: np.ndarray):
-    """The Evaluation at W from its products ``hw`` and in-plane fields ``uv``."""
-    h7u, h8u = _products(sys, uv[0], PARITY_U, slice(6, 8))
-    h7v, h8v = _products(sys, uv[1], PARITY_V, slice(6, 8))
-    h7w, h8w = hw[6], hw[7]
-    e = (h7u + 0.5 * h7w**2, h8v + 0.5 * h8w**2, h8u + h7v + h7w * h8w)
+    """The Evaluation at W from its products ``hw`` and in-plane fields ``uv``,
+    zero on their center lines.  [U; V] as 2 nx x-lines takes H7 in one product
+    (``strain_x``) and H8 / c8 in one more, whose diagonal blocks it keeps."""
+    nx, ny = sys.quarter_shape
+    ((c8, _, _),) = sys.terms[7]
+    lines = uv.reshape(2 * nx, ny)
+    h7u, h7v = _matmul(sys.strain_x, lines).reshape(2, sys.n)
+    h8 = _matmul(lines, sys.strain_y).reshape(2, nx, 2, ny)
+    h8 *= c8  # after the product, rounding as ``_products`` does
+    half_sq = np.square(hw[6:8])
+    half_sq *= 0.5
+    e3 = (h8[0, :, 0] + h7v.reshape(nx, ny)).ravel()
+    e3 += hw[6] * hw[7]
+    e = (h7u + half_sq[0], (h8[1, :, 1] + half_sq[1].reshape(nx, ny)).ravel(), e3)
     k1, k2, k3 = _STRESS
     p = (sys.beta_x * hw[k1], sys.beta_y * hw[k2], sys.gamma * hw[k3])
     r = hw[3] - sys.alpha * (p[0] * e[0] + p[1] * e[1] + p[2] * e[2]) - sys.load
@@ -574,17 +591,16 @@ def _evaluation(sys: AssembledSystem, w: np.ndarray, hw: np.ndarray, uv: np.ndar
 
 
 def evaluate(sys: AssembledSystem, w: np.ndarray) -> Evaluation:
-    """The residual's evaluation chain at W (see Evaluation).  U and V solve
-    B [U; V] = -[l1; l2] as one product with B^-1, without a finite check: a
-    non-finite W gives non-finite fields, which Newton reports.  The inverse
-    of the whole block [[H1, H2], [H2, H3]] instead of the paper's elimination
-    inverses of its blocks: equivalent whenever those exist and well defined
-    whenever the block system itself is regular."""
+    """The residual's evaluation chain at W (see Evaluation), H_k W in one
+    ``_products`` call.  U and V solve B [U; V] = -[l1; l2] as one product
+    with B^-1, without a finite check: a non-finite W gives non-finite fields,
+    which Newton reports.  The inverse of the whole block [[H1, H2], [H2, H3]]
+    instead of the paper's elimination inverses of its blocks: equivalent
+    whenever those exist and well defined whenever the block system is regular."""
     w = _check_size(sys, w)
     hw = _products(sys, w, PARITY_W)
-    rhs = -_inplane_forcing(hw)
-    uv = blas.dgemv(1.0, sys.inplane_inverse.T, rhs, trans=1).reshape(2, sys.n)
-    return _evaluation(sys, w, hw, uv)
+    uv = blas.dgemv(-1.0, sys.inplane_inverse.T, _inplane_forcing(hw).ravel(), trans=1)
+    return _evaluation(sys, w, hw, uv.reshape(2, sys.n))
 
 
 def jacobian(sys: AssembledSystem, x) -> np.ndarray:
@@ -720,9 +736,9 @@ def coupled_residual(
     with its recovered in-plane fields must satisfy all three equations.
     They are evaluated on the quarter with the solver's own products.
     """
-    w = _check_size(sys, w)
+    w, u, v = (_check_size(sys, z) for z in (w, u, v))
     hw = _products(sys, w, PARITY_W)
-    l1, l2 = _inplane_forcing(hw).reshape(2, sys.n)
+    l1, l2 = _inplane_forcing(hw)
     h1u, h2u = _products(sys, u, PARITY_U, slice(0, 2))
     h2v, h3v = _products(sys, v, PARITY_V, slice(1, 3))
     return h1u + h2v + l1, h2u + h3v + l2, _evaluation(sys, w, hw, np.stack([u, v])).r
@@ -778,7 +794,7 @@ def recover_fields(
 ) -> SolutionField:
     """Map quarter vectors to physical full-grid fields: F of parity (px, py),
     as its (x, y) array, becomes R_x P_px F P_py^T R_y^T (mirror maps, then R)."""
-    w = _check_size(sys, w)
+    w, u, v = (_check_size(sys, z) for z in (w, u, v))
     rx = sys.bcx.recovery @ mirror_maps(sys.bcx.n_interior)
     ry = rx if sys.bcy is sys.bcx else sys.bcy.recovery @ mirror_maps(sys.bcy.n_interior)
     w_full, u_full, v_full = (

@@ -255,6 +255,27 @@ def test_factor_products_match_dense_oracle(grid, orthotropic_spec, rng):
     )
 
 
+@pytest.mark.parametrize("grid", sorted(FACTOR_GRIDS))
+def test_evaluation_matches_dense_oracle(grid, orthotropic_spec, rng):
+    """Every field of an evaluation at a random W against the dense full-grid
+    equations restricted to the quarter: H_k W, the strains from the
+    evaluation's own U and V mirrored, p_k = c_k H_k W and r."""
+    sys = build_system(replace(orthotropic_spec, **FACTOR_GRIDS[grid]))
+    full, s = FullGrid(sys), restrict(sys)
+    w = rng.standard_normal(sys.n)
+    ev = evaluate(sys, w)
+    wf, uf, vf = (mirror(sys, parity) @ z for parity, z in
+                  ((PARITY_W, w), (PARITY_U, ev.uv[0]), (PARITY_V, ev.uv[1])))
+    strains = full._strains(wf, uf, vf)
+    refs = [(ev.hw[k - 1], full.h[k] @ wf) for k in range(1, 9)]
+    refs += [(got, e) for got, (_, _, e) in zip(ev.strains, strains)]
+    refs += [(got, c * (full.h[k] @ wf)) for got, (c, k, _) in zip(ev.p, strains)]
+    refs += [(ev.r, full.transverse(wf, uf, vf))]
+    for got, ref in refs:
+        ref = s @ ref
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def _arrays(obj, seen):
     """The distinct ndarrays reachable through dataclass fields and tuples."""
     if id(obj) in seen:
@@ -644,6 +665,45 @@ def test_residual_rejects_wrong_length(table1_ss):
     sys = build_system(table1_ss)
     with pytest.raises(ValueError, match=r"length 9, got \(3,\)"):
         residual(sys, np.zeros(3))
+
+
+def test_coupled_residual_rejects_wrong_length(table1_ss):
+    """U and V are checked like W, by the coupled residual and the recovery:
+    a short or a 2-D one is refused before any product."""
+    sys = build_system(table1_ss)
+    z = np.zeros(sys.n)
+    for bad in (np.zeros(sys.n - 1), np.zeros(sys.quarter_shape)):
+        for fn in (coupled_residual, recover_fields):
+            for u, v in ((bad, z), (z, bad)):
+                with pytest.raises(ValueError, match="expected stacked vector of length"):
+                    fn(sys, z, u, v)
+
+
+@pytest.mark.parametrize("fixture", ["table1_ss", "table1_clamped"])
+def test_evaluate_call_budget(request, monkeypatch, rng, fixture):
+    """One evaluation makes one ``_products`` call, on W, whose two BLAS
+    products are the only ones besides at most two for H7 and H8 on U and V."""
+    sys = build_system(request.getfixturevalue(fixture))
+    w = rng.standard_normal(sys.n)
+    products = count_calls(monkeypatch, pm, "_products")
+    matmuls = count_calls(monkeypatch, pm, "_matmul")
+    evaluate(sys, w)
+    assert len(matmuls) <= 4
+    ((_, on, parity), _), = products
+    assert on is w and parity == PARITY_W
+
+
+def test_evaluation_keeps_seventeen_n_doubles(table1_clamped, rng):
+    """Besides W, an evaluation holds 17 n doubles, H_k W, U, V, the strains,
+    p_k and r, and keeps no larger buffer of its stages alive."""
+    sys = build_system(table1_clamped)
+    ev = evaluate(sys, rng.standard_normal(sys.n))
+    roots = {}
+    for a in (ev.hw, ev.uv, *ev.strains, *ev.p, ev.r):
+        while a.base is not None:
+            a = a.base
+        roots[id(a)] = a
+    assert sum(a.nbytes for a in roots.values()) == 17 * sys.n * 8
 
 
 def test_residual_at_zero_is_minus_load(table1_ss):
