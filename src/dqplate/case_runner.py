@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import timeit
 from dataclasses import dataclass, replace
@@ -103,7 +102,7 @@ def _scalar(kind, noun: str, ok=None, rule: str = ""):
     def check(value, path):
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise CaseError(f"{path}: expected {noun}")
-        if kind is _NUMBER and not math.isfinite(value):
+        if kind is _NUMBER and not plate_model.is_finite(value):
             raise CaseError(f"{path}: must be finite")
         if ok is not None and not ok(value):
             raise CaseError(f"{path}: {rule}")
@@ -251,6 +250,8 @@ def parse_case(path: str | Path) -> Case:
         raise CaseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than int() reads from a string
+        raise CaseError(f"unreadable JSON number: {exc}") from exc
     doc = _read(doc, _CASE, "")
     plate = doc["plate"]
     sweep = doc["sweep"] or _absent(_SWEEP)

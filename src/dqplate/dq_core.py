@@ -103,11 +103,6 @@ def make_grid(n: int, kind: str = CHEBYSHEV) -> Grid1D:
     raise ValueError(f"unknown grid kind {kind!r}; expected one of {GRID_KINDS}")
 
 
-def diff_matrix_first(grid: Grid1D) -> np.ndarray:
-    """First-derivative weighting matrix, the ``first`` of ``diff_matrices``."""
-    return diff_matrices(grid).first
-
-
 @dataclass(frozen=True)
 class DiffMatrices:
     """Weighting matrices for derivative orders 1..4 on one grid."""

@@ -89,7 +89,7 @@ def isotropic_material(spec: PlateSpec) -> plate_model.DerivedMaterial:
 def linear_reference_center(spec: PlateSpec) -> float:
     """Series-based center w/h in the linear limit of an isotropic spec."""
     mat = isotropic_material(spec)
-    return series_coefficient(spec.bc, spec.a / spec.b) * plate_model.load_scale(spec, mat)
+    return series_coefficient(spec.bc, spec.a / spec.b) * mat.load
 
 
 def builtin_center(sys: plate_model.AssembledSystem) -> float:
@@ -128,7 +128,7 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     rows[aux, 1:-1] = kron(getattr(dmx, order)[aux], iy[1:-1]).reshape(2, ny - 2, nx, ny)
     rows[2:-2, aux] = kron(ix[2:-2], getattr(dmy, order)[aux]).reshape(nx - 4, 2, nx, ny)
     rhs = np.zeros((nx, ny))
-    rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
+    rhs[2:-2, 2:-2] = mat.load
     # the unknowns are the values at every node of the moved grid
     w = plate_model.solve_bending(op, rhs.ravel())
     return plate_model._interp_center(w.reshape(nx, ny), dmx.grid.nodes, dmy.grid.nodes)

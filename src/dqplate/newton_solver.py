@@ -16,7 +16,6 @@ Convergence is measured on the max-norm of the residual, default tolerance 1e-5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, Callable
@@ -51,11 +50,12 @@ class SolverOptions:
     jacobian: str = SJT_ANALYTIC
 
     def __post_init__(self):
-        if not math.isfinite(self.tol):  # NaN included
+        if not plate_model.is_finite(self.tol):  # NaN included
             raise SpecError("tol", "must be finite")
         if self.tol <= 0:
             raise SpecError("tol", "must be positive")
-        if not isinstance(self.max_iter, (int, np.integer)):  # else range() fails mid-run
+        # a float fails range() mid-run; a bool is an int, but True is no budget
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise SpecError("max_iter", f"must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise SpecError("max_iter", "must be at least 1")

@@ -42,7 +42,11 @@ Newton iteration goes through scipy, and every dense solve through ``lu_solve``.
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
 equilibrium equations, H2 the mixed-derivative coupling block, H4 the
 scaled bending operator, H5/H6 the bending-curvature weights entering the
-membrane forces, H7/H8 the scaled first-derivative maps along x and y.
+membrane forces, H7/H8 the scaled first-derivative maps along x and y.  The
+name ``H_k`` is the operator's position in its terms, in ``x_mix`` and in
+every array of all H_k W, in the order the residual reads the rows: the
+stress rows H5, H6, H2, the in-plane rows H1, H3, the strain rows H7, H8,
+then H4, so that each group is one slice.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ class PlateSpec:
 
     def __post_init__(self):
         for name in ("a", "b", "h", "e1", "e2", "g12", "q"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise SpecError(name, "must be finite")
         for name in ("a", "b", "h", "e1", "e2", "g12"):
             if getattr(self, name) <= 0:
@@ -119,8 +123,8 @@ class PlateSpec:
                 raise SpecError(name, f"must be one of {kinds}, got {getattr(self, name)!r}")
         top = dq_core.MAX_UNIFORM_POINTS if self.grid_kind == UNIFORM else dq_core.MAX_POINTS
         for name in ("nx", "ny"):
-            npts = getattr(self, name)
-            if not float(npts).is_integer():
+            npts = getattr(self, name)  # an int too large for a float fails the range
+            if not (isinstance(npts, int) or float(npts).is_integer()):
                 raise SpecError(name, f"must be an integer, got {npts}")
             object.__setattr__(self, name, int(npts))
             if not 5 <= npts <= top:
@@ -175,6 +179,7 @@ class DerivedMaterial:
     d1/d2 are the principal bending rigidities, d3 the effective twisting
     rigidity entering the mixed bending term, dk the pure torsional part,
     c the modulus on the mixed in-plane derivative.  mu = 1 - nu12 * nu21.
+    ``load`` is the transverse equation's uniform load, q a^4 / (D1 h).
     """
 
     nu21: float
@@ -184,6 +189,15 @@ class DerivedMaterial:
     d3: float
     dk: float
     c: float
+    load: float
+
+
+def is_finite(x) -> bool:
+    """math.isfinite, false for an int beyond the float range, where it raises."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 # The plate's numbers, whose sizes the derived constants take (derive_material).
@@ -210,10 +224,10 @@ def derive_material(spec: PlateSpec) -> DerivedMaterial:
         dk = spec.g12 * h3 / 12.0
         d3 = nu21 * d1 + 2.0 * dk
         c = spec.nu12 * spec.e2 + mu * spec.g12
-        mat = DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c)
+        load = spec.q * spec.a**4 / (d1 * spec.h)
+        mat = DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c, load=load)
         terms, alpha, betas = _coefficients(spec, mat)
-        load = abs(load_scale(spec, mat))  # the one signed constant
-        derived = [nu21, d1, d2, dk, d3, c, alpha, *betas, load, load**3]
+        derived = [nu21, d1, d2, dk, d3, c, alpha, *betas, abs(load), abs(load) ** 3]
         derived += [coef for op_terms in terms for coef, _, _ in op_terms]
     except (OverflowError, ZeroDivisionError):
         derived = [math.inf]
@@ -227,11 +241,6 @@ def derive_material(spec: PlateSpec) -> DerivedMaterial:
             "load scale) out of the float range",
         )
     return mat
-
-
-def load_scale(spec: PlateSpec, mat: DerivedMaterial) -> float:
-    """Uniform load of the transverse equation normalized by D1: q a^4 / (D1 h)."""
-    return spec.q * spec.a**4 / (mat.d1 * spec.h)
 
 
 _ID, _D1, _D2, _D4 = range(4)  # factor indices: identity, derivative orders
@@ -288,25 +297,29 @@ def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
     )
 
 
+H5, H6, H2, H1, H3, H7, H8, H4 = range(8)  # the operators' positions
+
+
 def _coefficients(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
     """The scalars ``assemble`` derives from a plate: the Kronecker terms of
-    H1..H8, alpha, and the betas, the coefficient c of each transverse term.
+    H1..H8, each at its name's position, alpha, and the betas, the coefficient
+    c of each transverse term.
 
     Aspect-ratio powers follow from mapping the plate to the unit square;
     the transverse equation is normalized by the x bending rigidity, so its
-    load is q a^4 / (D1 h)."""
+    load is ``mat.load``."""
     a, b, h = spec.a, spec.b, spec.h
     rab, ex, ey = a / b, (h / a) ** 2, (h / b) ** 2
     shear = mat.mu * spec.g12
     terms = (
-        ((spec.e1, _D2, _ID), (shear * rab**2, _ID, _D2)),                   # H1
-        ((mat.c, _D1, _D1),),                                                # H2
-        ((spec.e2, _ID, _D2), (shear * rab**-2, _D2, _ID)),                  # H3
-        _bending_terms(spec, mat),                                           # H4
         ((spec.e1 * ex, _D2, _ID), (spec.nu12 * spec.e2 * ey, _ID, _D2)),    # H5
         ((spec.e2 * ey, _ID, _D2), (mat.nu21 * spec.e1 * ex, _D2, _ID)),     # H6
+        ((mat.c, _D1, _D1),),                                                # H2
+        ((spec.e1, _D2, _ID), (shear * rab**2, _ID, _D2)),                   # H1
+        ((spec.e2, _ID, _D2), (shear * rab**-2, _D2, _ID)),                  # H3
         ((ex, _D1, _ID),),                                                   # H7
         ((ey, _ID, _D1),),                                                   # H8
+        _bending_terms(spec, mat),                                           # H4
     )
     alpha = a**4 / (mat.mu * mat.d1 * h)
     betas = ((a / h) ** 2, (b / h) ** 2, 2.0 * mat.mu * spec.g12 / mat.c)
@@ -340,15 +353,17 @@ class AssembledSystem:
     once, as Kronecker terms.
 
     ``n`` is the number of quarter nodes, the length of every field vector
-    W, U and V, an array of ``quarter_shape``, row-major.  ``terms`` gives
-    each of H1..H8 as its terms (c, ix, iy) over the folded factor stacks
+    W, U and V, an array of ``quarter_shape``, row-major.  ``terms[H_k]``
+    gives H_k as its terms (c, ix, iy) over the folded factor stacks
     ``factors`` = (X, Y), where X[p] holds the factors for an operand of x
     parity p (see ``fold``).  ``x_mix`` and ``y_all`` lay the same terms out
     for ``_products``, per parity: every Y^T side by side, and per operator
     and y factor the sum of c X; ``strain_x`` (c7 D1_x) and ``strain_y`` (D1_y^T)
     lay out H7 and H8 per field for ``_evaluation``, ``jac_table`` the terms
     for ``jacobian`` (see ``_jacobian_table``).  H4, written from its terms
-    as ``h4``, serves the linear solve and is the Jacobian's base.
+    as ``h4``, serves the linear solve and is the Jacobian's base.  ``betas``
+    holds the transverse terms' coefficients, one per stress row H5, H6, H2,
+    as a (3, 1) block.  The load is the spec's, ``spec.material.load``.
     ``inplane_inverse`` is B^-1, formed once on the live unknowns and laid
     out on all 2n, zero on U's and V's center lines; ``inplane_rcond`` is
     LAPACK's estimate of B's reciprocal condition number in the infinity
@@ -366,13 +381,10 @@ class AssembledSystem:
     strain_x: np.ndarray = field(repr=False)
     strain_y: np.ndarray = field(repr=False)
     jac_table: np.ndarray = field(repr=False)
-    load: np.ndarray
     n: int
     quarter_shape: tuple[int, int]
     alpha: float
-    beta_x: float
-    beta_y: float
-    gamma: float
+    betas: np.ndarray
     inplane_inverse: np.ndarray = field(repr=False)
     inplane_rcond: float
 
@@ -417,22 +429,21 @@ def assemble(
             f"operator grids ({bcx.grid.n}, {bcy.grid.n}) do not match the "
             f"spec grids ({spec.nx}, {spec.ny})"
         )
-    mat = spec.material
     fx = fold(bcx)
     fy = fx if bcy is bcx else fold(bcy)
     nx, ny = fx.shape[-1], fy.shape[-1]
     n = nx * ny
-    terms, alpha, betas = _coefficients(spec, mat)
+    terms, alpha, betas = _coefficients(spec, spec.material)
     coef = np.zeros((8, 4, 4))  # [k, iy, ix]: c of the term c kron(X[ix], Y[iy]) of H_k
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
             coef[k, iy, ix] = c
     x_mix = coef.reshape(32, 4) @ fx.reshape(2, 4, -1)  # [p, (k, iy), (i, j)]
-    ((c7, i7, _),), ((_, _, j8),) = terms[6], terms[7]  # c7 kron(D1, I), c8 kron(I, D1)
+    ((c7, i7, _),), ((_, _, j8),) = terms[H7], terms[H8]  # c7 kron(D1, I), c8 kron(I, D1)
     strain_x = np.zeros((2, nx, 2, nx))  # block diagonal, U's parity then V's
     for f, (px, _) in enumerate((PARITY_U, PARITY_V)):
         strain_x[f, :, f] = c7 * fx[px, i7]
-    h4 = _kron_sum(terms[3], fx[EVEN], fy[EVEN])
+    h4 = _kron_sum(terms[H4], fx[EVEN], fy[EVEN])
 
     # B = [[H1, H2], [H2, H3]], each column block folded by its field's parity,
     # on the live unknowns only: U is zero on its center x-line and V on its
@@ -440,7 +451,7 @@ def assemble(
     live = ((bcx.n_interior // 2, ny), (nx, bcy.n_interior // 2))
     cut = live[0][0] * ny
     at = (slice(cut), slice(cut, None))  # U's and V's unknowns in B
-    blocks = ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1))  # terms[k] at rows r, columns c
+    blocks = ((H1, 0, 0), (H2, 0, 1), (H2, 1, 0), (H3, 1, 1))  # H_k at rows r, columns c
     block = np.empty((cut + nx * live[1][1],) * 2)
     for k, r, c in blocks:
         (rx, ry), (cx, cy), (px, py) = live[r], live[c], (PARITY_U, PARITY_V)[c]
@@ -461,13 +472,10 @@ def assemble(
         strain_x=strain_x.reshape(2 * nx, 2 * nx),
         strain_y=np.concatenate((fy[PARITY_U[1], j8].T, fy[PARITY_V[1], j8].T), axis=1),
         jac_table=_jacobian_table(terms, alpha, betas),
-        load=load_scale(spec, mat) * np.ones(n),
         n=n,
         quarter_shape=(nx, ny),
         alpha=alpha,
-        beta_x=betas[0],
-        beta_y=betas[1],
-        gamma=betas[2],
+        betas=np.array(betas)[:, None],
         inplane_inverse=inverse.reshape(2 * n, 2 * n),
         inplane_rcond=rcond,
     )
@@ -490,11 +498,10 @@ def build_system(spec: PlateSpec) -> AssembledSystem:
 def with_load(sys: AssembledSystem, q: float) -> AssembledSystem:
     """Copy of an assembled system under a different pressure.
 
-    Only the load vector depends on q, so load sweeps reuse the operators
+    Only the spec's load depends on q, so load sweeps reuse the operators
     and the in-plane inverse, formed once for all loads.
     """
-    spec = replace(sys.spec, q=q)
-    return replace(sys, spec=spec, load=load_scale(spec, spec.material) * np.ones(sys.n))
+    return replace(sys, spec=replace(sys.spec, q=q))
 
 
 def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
@@ -529,18 +536,16 @@ def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> n
 
 
 # The in-plane right-hand side [l1; l2]: each block a sum of products
-# (A W) o (B W), given as pairs of operator indices (0 is H1, ..., 7 is H8),
-# which ``_inplane_forcing`` reads as row views.  A product's W-derivative is
-# the SJT pair diag(B W) A + diag(A W) B.
-_FORCING = (((6, 0), (7, 1)), ((7, 2), (6, 1)))
-# The stress operators of the transverse terms c (H_k W) o e: H5, H6, H2.
-_STRESS = (4, 5, 1)
+# (A W) o (B W), given as pairs of operator names, which ``_inplane_forcing``
+# reads as row views.  A product's W-derivative is the SJT pair
+# diag(B W) A + diag(A W) B.
+_FORCING = (((H7, H1), (H8, H2)), ((H8, H3), (H7, H2)))
 
 
 def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
     """The Jacobian's coefficients [x factor, slot, y factor, source], (27, 13),
-    over the factors I, D1, D2 and the sources H_j W (j < 8), e1, e2, e3, q7
-    and q8 (see ``jacobian``).  A part a diag(v) H_k in a slot adds a c at
+    over the factors I, D1, D2 and the sources H_j W (at position H_j), e1, e2,
+    e3, q7 and q8 (see ``jacobian``).  A part a diag(v) H_k in a slot adds a c at
     [X, slot, Y, v] for each term c kron(X, Y) of H_k.  The parts: alpha
     diag(H_j W) H_k in yt's half b for each (H_j W) o (H_k W) of block b of
     ``_FORCING``; in the block diagonal, -alpha c diag(e) H_k for each
@@ -549,7 +554,7 @@ def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
     parts = [(j, b, k, alpha) for b, block in enumerate(_FORCING) for pair in block
              for j, k in (pair, pair[::-1])]
     parts += [(8 + s, 2, k, -alpha * c)
-              for s, (c, k) in enumerate(zip(betas + (1.0, 1.0), _STRESS + (6, 7)))]
+              for s, (c, k) in enumerate(zip(betas + (1.0, 1.0), (H5, H6, H2, H7, H8)))]
     table = np.zeros((3, 3, 3, 13))
     for source, slot, k, a in parts:
         for c, ix, iy in terms[k]:
@@ -559,7 +564,7 @@ def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
 
 def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
     """In-plane right-hand side [l1; l2], ``_FORCING`` on row views of H_k W."""
-    return hw[6:8] * hw[0:3:2] + hw[7:5:-1] * hw[1]
+    return hw[H7:H8 + 1] * hw[H1:H3 + 1] + hw[H8:H7 - 1:-1] * hw[H2]
 
 
 # The residual's evaluation chain at one W, each piece formed once by
@@ -574,19 +579,18 @@ def _evaluation(sys: AssembledSystem, w: np.ndarray, hw: np.ndarray, uv: np.ndar
     zero on their center lines.  [U; V] as 2 nx x-lines takes H7 in one product
     (``strain_x``) and H8 / c8 in one more, whose diagonal blocks it keeps."""
     nx, ny = sys.quarter_shape
-    ((c8, _, _),) = sys.terms[7]
+    ((c8, _, _),) = sys.terms[H8]
     lines = uv.reshape(2 * nx, ny)
     h7u, h7v = _matmul(sys.strain_x, lines).reshape(2, sys.n)
     h8 = _matmul(lines, sys.strain_y).reshape(2, nx, 2, ny)
     h8 *= c8  # after the product, rounding as ``_products`` does
-    half_sq = np.square(hw[6:8])
+    half_sq = np.square(hw[H7:H8 + 1])
     half_sq *= 0.5
     e3 = (h8[0, :, 0] + h7v.reshape(nx, ny)).ravel()
-    e3 += hw[6] * hw[7]
+    e3 += hw[H7] * hw[H8]
     e = (h7u + half_sq[0], (h8[1, :, 1] + half_sq[1].reshape(nx, ny)).ravel(), e3)
-    k1, k2, k3 = _STRESS
-    p = (sys.beta_x * hw[k1], sys.beta_y * hw[k2], sys.gamma * hw[k3])
-    r = hw[3] - sys.alpha * (p[0] * e[0] + p[1] * e[1] + p[2] * e[2]) - sys.load
+    p = sys.betas * hw[H5:H2 + 1]
+    r = hw[H4] - sys.alpha * (p[0] * e[0] + p[1] * e[1] + p[2] * e[2]) - sys.spec.material.load
     return Evaluation(w, hw, uv, e, p, r)
 
 
@@ -640,7 +644,7 @@ def jacobian(sys: AssembledSystem, x) -> np.ndarray:
     # fold into A_y.  The identity stands for the folded one of U's x and
     # V's y parity, as B_U and B_V are zero on those center lines.
     fx, fy = sys.factors
-    ((c7, i7, _),), ((c8, _, j8),) = sys.terms[6], sys.terms[7]
+    ((c7, i7, _),), ((c8, _, j8),) = sys.terms[H7], sys.terms[H8]
     b_u, b_v = sys.inplane_inverse.reshape(2, nx, ny, 2 * n)
     y = np.empty((nx, ny, 2 * n))
     t = np.empty((nx, ny, 2 * n))
@@ -664,7 +668,7 @@ def jacobian(sys: AssembledSystem, x) -> np.ndarray:
     # i, M_X is f[i, X] times yt[i]'s two halves plus the block diagonal
     # d[i, X], each a sum over the y factors Y of Y^T diag(v_i) (diag(v_i) for
     # Y = I), v the sources combined by the table: one product, one einsum.
-    q7, q8 = p1 * hw[6] + p3 * hw[7], p2 * hw[7] + p3 * hw[6]
+    q7, q8 = p1 * hw[H7] + p3 * hw[H8], p2 * hw[H8] + p3 * hw[H7]
     v = _matmul(sys.jac_table, np.concatenate((hw, (*strains, q7, q8))))
     g = np.einsum("ylr,xsyil->ixrsl", fy[EVEN, :3], v.reshape(3, 3, 3, nx, ny))
     del v
@@ -724,7 +728,7 @@ def solve_bending(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def linear_solve(sys: AssembledSystem) -> np.ndarray:
     """Small-deflection limit H4 W = load, the Newton start, by ``solve_bending``."""
-    return solve_bending(sys.h4, sys.load)
+    return solve_bending(sys.h4, np.full(sys.n, sys.spec.material.load))
 
 
 def coupled_residual(
@@ -739,8 +743,9 @@ def coupled_residual(
     w, u, v = (_check_size(sys, z) for z in (w, u, v))
     hw = _products(sys, w, PARITY_W)
     l1, l2 = _inplane_forcing(hw)
-    h1u, h2u = _products(sys, u, PARITY_U, slice(0, 2))
-    h2v, h3v = _products(sys, v, PARITY_V, slice(1, 3))
+    # not the reversed slice H2:H1 + 1: a GEMM row's rounding depends on its place
+    h1u, h2u = _products(sys, u, PARITY_U, [H1, H2])
+    h2v, h3v = _products(sys, v, PARITY_V, [H2, H3])
     return h1u + h2v + l1, h2u + h3v + l2, _evaluation(sys, w, hw, np.stack([u, v])).r
 
 

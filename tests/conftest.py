@@ -50,9 +50,10 @@ def row_scale(v, m):
 
 
 def dense_operator(sys, k):
-    """Dense H_k (k = 1..8) of an assembled system, summed with plain np.kron
-    over its Kronecker terms (c, ix, iy); the 1-D factors are taken by name
-    from the boundary operator sets, index 0 being the identity."""
+    """Dense H_k (k a name, plate_model.H1..H8) of an assembled system, summed
+    with plain np.kron over its Kronecker terms (c, ix, iy); the 1-D factors
+    are taken by name from the boundary operator sets, index 0 being the
+    identity."""
 
     def factor(ops, i):
         if i == 0:
@@ -61,7 +62,7 @@ def dense_operator(sys, k):
 
     return sum(
         c * np.kron(factor(sys.bcx, ix), factor(sys.bcy, iy))
-        for c, ix, iy in sys.terms[k - 1]
+        for c, ix, iy in sys.terms[k]
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from conftest import dense_operator, row_scale
 from dqplate import plate_model as pm
+from dqplate.plate_model import H1, H2, H3, H4, H5, H6, H7, H8
 
 
 def mirror(sys, parity) -> np.ndarray:
@@ -34,23 +35,23 @@ def restrict(sys) -> np.ndarray:
 
 
 class FullGrid:
-    """Dense full-grid operators of an assembled system, H[1]..H[8]."""
+    """Dense full-grid operators of an assembled system, H[H1]..H[H8]."""
 
     def __init__(self, sys):
         self.sys = sys
-        self.h = [None] + [dense_operator(sys, k) for k in range(1, 9)]
-        self.n = len(self.h[1])
-        self.load = sys.load[0] * np.ones(self.n)
+        self.h = [dense_operator(sys, k) for k in range(len(sys.terms))]
+        self.n = len(self.h[H1])
+        self.load = sys.spec.material.load * np.ones(self.n)
 
     def forcing(self, w):
         h = self.h
-        l1 = (h[7] @ w) * (h[1] @ w) + (h[8] @ w) * (h[2] @ w)
-        l2 = (h[8] @ w) * (h[3] @ w) + (h[7] @ w) * (h[2] @ w)
+        l1 = (h[H7] @ w) * (h[H1] @ w) + (h[H8] @ w) * (h[H2] @ w)
+        l2 = (h[H8] @ w) * (h[H3] @ w) + (h[H7] @ w) * (h[H2] @ w)
         return l1, l2
 
     def block(self):
         h = self.h
-        return np.block([[h[1], h[2]], [h[2], h[3]]])
+        return np.block([[h[H1], h[H2]], [h[H2], h[H3]]])
 
     def inplane(self, w):
         uv = np.linalg.solve(self.block(), -np.concatenate(self.forcing(w)))
@@ -58,17 +59,18 @@ class FullGrid:
 
     def _strains(self, w, u, v):
         h = self.h
-        h7w, h8w = h[7] @ w, h[8] @ w
+        h7w, h8w = h[H7] @ w, h[H8] @ w
+        beta_x, beta_y, gamma = self.sys.betas[:, 0]
         return (
-            (self.sys.beta_x, 5, h[7] @ u + 0.5 * h7w**2),
-            (self.sys.beta_y, 6, h[8] @ v + 0.5 * h8w**2),
-            (self.sys.gamma, 2, h[8] @ u + h[7] @ v + h7w * h8w),
+            (beta_x, H5, h[H7] @ u + 0.5 * h7w**2),
+            (beta_y, H6, h[H8] @ v + 0.5 * h8w**2),
+            (gamma, H2, h[H8] @ u + h[H7] @ v + h7w * h8w),
         )
 
     def transverse(self, w, u, v):
         h = self.h
         terms = sum(c * (h[k] @ w) * e for c, k, e in self._strains(w, u, v))
-        return h[4] @ w - self.sys.alpha * terms - self.load
+        return h[H4] @ w - self.sys.alpha * terms - self.load
 
     def residual(self, w):
         return self.transverse(w, *self.inplane(w))
@@ -77,8 +79,8 @@ class FullGrid:
         h = self.h
         l1, l2 = self.forcing(w)
         return (
-            h[1] @ u + h[2] @ v + l1,
-            h[2] @ u + h[3] @ v + l2,
+            h[H1] @ u + h[H2] @ v + l1,
+            h[H2] @ u + h[H3] @ v + l2,
             self.transverse(w, u, v),
         )
 
@@ -87,19 +89,19 @@ class FullGrid:
         with [dU/dW; dV/dW] = -B^-1 [dl1/dW; dl2/dW]."""
         h, n = self.h, self.n
         u, v = self.inplane(w)
-        hw = [None] + [hk @ w for hk in h[1:]]
-        dl1 = (row_scale(hw[1], h[7]) + row_scale(hw[7], h[1])
-               + row_scale(hw[2], h[8]) + row_scale(hw[8], h[2]))
-        dl2 = (row_scale(hw[3], h[8]) + row_scale(hw[8], h[3])
-               + row_scale(hw[2], h[7]) + row_scale(hw[7], h[2]))
+        hw = [hk @ w for hk in h]
+        dl1 = (row_scale(hw[H1], h[H7]) + row_scale(hw[H7], h[H1])
+               + row_scale(hw[H2], h[H8]) + row_scale(hw[H8], h[H2]))
+        dl2 = (row_scale(hw[H3], h[H8]) + row_scale(hw[H8], h[H3])
+               + row_scale(hw[H2], h[H7]) + row_scale(hw[H7], h[H2]))
         duv = -np.linalg.solve(self.block(), np.vstack([dl1, dl2]))
         du, dv = duv[:n], duv[n:]
         de = (
-            h[7] @ du + row_scale(hw[7], h[7]),
-            h[8] @ dv + row_scale(hw[8], h[8]),
-            h[8] @ du + h[7] @ dv + row_scale(hw[8], h[7]) + row_scale(hw[7], h[8]),
+            h[H7] @ du + row_scale(hw[H7], h[H7]),
+            h[H8] @ dv + row_scale(hw[H8], h[H8]),
+            h[H8] @ du + h[H7] @ dv + row_scale(hw[H8], h[H7]) + row_scale(hw[H7], h[H8]),
         )
-        jac = h[4].copy()
+        jac = h[H4].copy()
         for (c, k, e), de_k in zip(self._strains(w, u, v), de):
             jac -= self.sys.alpha * c * (row_scale(e, h[k]) + row_scale(hw[k], de_k))
         return jac

@@ -265,6 +265,38 @@ def test_extreme_plate_constant_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+HUGE = 10**400  # valid JSON, beyond the float range
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [(with_plate(h=HUGE), "plate.h: must be finite"),
+     (with_grid(nx=HUGE), "plate.grid.nx: must be in [5, 31]"),
+     (with_block(solver={"tol": HUGE}), "solver.tol: must be finite"),
+     (with_block(sweep={"loads": [HUGE]}), "sweep.loads[0]: must be finite"),
+     (with_block(bench={"grids": [HUGE]}), "bench.grids[0]: must be in [5, 31]")],
+    ids=["h", "grid-nx", "tol", "sweep-load", "bench-grid"],
+)
+def test_huge_json_integer_exits_2(tmp_path, capsys, doc, message):
+    """An integer too large for a float is refused with the rule it breaks,
+    not with an OverflowError traceback."""
+    out = tmp_path / "out"
+    assert main(["solve", str(write_case(tmp_path, doc)), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """json reads an integer through int(), which refuses more than 4300
+    digits: a case file with a longer one exits 2, without a traceback."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(SS_CASE).replace('"h": 1.0', '"h": ' + "9" * 5000))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_readme_schema_example_parses(tmp_path):
     """The case schema README documents, its // comments stripped, is a valid case."""
     readme = (ROOT / "README.md").read_text()

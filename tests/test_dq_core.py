@@ -13,7 +13,6 @@ from dqplate.dq_core import (
     Grid1D,
     chebyshev_roots,
     diff_matrices,
-    diff_matrix_first,
     make_grid,
 )
 
@@ -82,16 +81,16 @@ def test_grid_invariants(n, kind):
 
 def test_first_derivative_n2():
     g = Grid1D(np.array([0.0, 1.0]), UNIFORM)
-    np.testing.assert_allclose(diff_matrix_first(g), [[-1.0, 1.0], [-1.0, 1.0]])
+    np.testing.assert_allclose(diff_matrices(g).first, [[-1.0, 1.0], [-1.0, 1.0]])
 
 
 def test_first_derivative_n3_uniform_stencil():
-    a = diff_matrix_first(make_grid(3, UNIFORM))
+    a = diff_matrices(make_grid(3, UNIFORM)).first
     np.testing.assert_allclose(a, [[-3, 4, -1], [-1, 0, 1], [1, -4, 3]], atol=1e-12)
 
 
 def test_first_derivative_n5_endpoint_stencil():
-    a = diff_matrix_first(make_grid(5, UNIFORM))
+    a = diff_matrices(make_grid(5, UNIFORM)).first
     np.testing.assert_allclose(
         a[0], [-25.0 / 3.0, 16.0, -12.0, 16.0 / 3.0, -1.0], rtol=1e-13
     )
@@ -167,7 +166,7 @@ def test_recursion_matches_matrix_powers(n, kind):
 
 @pytest.mark.parametrize("n", range(5, 14))
 def test_uniform_first_derivative_antisymmetric_under_reversal(n):
-    a = diff_matrix_first(make_grid(n, UNIFORM))
+    a = diff_matrices(make_grid(n, UNIFORM)).first
     np.testing.assert_allclose(a, -a[::-1, ::-1], atol=1e-10 * np.abs(a).max())
 
 
@@ -198,5 +197,5 @@ def chebyshev_closed_form(n):
 @pytest.mark.parametrize("n", range(3, 22))
 def test_fast_weights_match_lagrange_form(n):
     fast = chebyshev_closed_form(n)
-    generic = diff_matrix_first(make_grid(n, CHEBYSHEV))
+    generic = diff_matrices(make_grid(n, CHEBYSHEV)).first
     assert np.abs(fast - generic).max() <= 1e-10 * np.abs(generic).max()

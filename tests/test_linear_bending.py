@@ -140,7 +140,7 @@ def delta_center_by_dense_rows(spec, delta=1e-5):
     rows[aux, 1:-1] = on_x[aux, 1:-1]
     rows[2:-2, aux] = on_y[2:-2, aux]
     rhs = np.zeros((nx, ny))
-    rhs[2:-2, 2:-2] = plate_model.load_scale(spec, mat)
+    rhs[2:-2, 2:-2] = mat.load
     w = plate_model.solve_bending(op, rhs.ravel())
     return plate_model._interp_center(w.reshape(nx, ny), gx.nodes, gy.nodes)
 
@@ -185,7 +185,7 @@ def test_builtin_center_matches_linear_solve(case, table1_ss, table1_clamped,
     }[case]
     sys = build_system(spec)
     full = FullGrid(sys)
-    w = np.linalg.solve(full.h[4], full.load)
+    w = np.linalg.solve(full.h[plate_model.H4], full.load)
     w = sys.bcx.recovery @ w.reshape(sys.bcx.n_interior, -1) @ sys.bcy.recovery.T
     expected = plate_model._interp_center(w, sys.bcx.grid.nodes, sys.bcy.grid.nodes)
     assert linear_center_builtin(spec) == pytest.approx(expected, rel=1e-12)

@@ -65,8 +65,10 @@ def test_non_finite_tol_rejected(tol):
 @pytest.mark.parametrize(
     "options, field",
     [({"strategy": "bogus"}, "jacobian"), ({"tol": -1.0}, "tol"),
-     ({"tol": np.nan}, "tol"), ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter")],
-    ids=["bogus-strategy", "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter"],
+     ({"tol": np.nan}, "tol"), ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+     ({"max_iter": True}, "max_iter")],
+    ids=["bogus-strategy", "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter",
+         "bool-max-iter"],
 )
 def test_options_refused_before_any_build(table1_ss, monkeypatch, options, field):
     """SolverOptions checks the options of solve_plate and load_sweep before

@@ -7,6 +7,8 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
 from conftest import count_calls, dense_operator
@@ -17,6 +19,14 @@ from dqplate.bc_builder import CLAMPED, SIMPLY_SUPPORTED
 from dqplate.dq_core import CHEBYSHEV, UNIFORM
 from dqplate.newton_solver import fd_jacobian, solve_plate
 from dqplate.plate_model import (
+    H1,
+    H2,
+    H3,
+    H4,
+    H5,
+    H6,
+    H7,
+    H8,
     PARITY_U,
     PARITY_V,
     PARITY_W,
@@ -178,6 +188,9 @@ def test_spec_refuses_grids_it_cannot_solve():
     for nx, ny, name in ((7.5, 7, "nx"), (7, 7.5, "ny")):
         with pytest.raises(SpecError, match=f"^{name} must be an integer, got 7.5"):
             PlateSpec.isotropic(**args, nx=nx, ny=ny)
+    with pytest.raises(SpecError, match=r"^nx must be in \[5, 31\]") as err:
+        PlateSpec.isotropic(**args, nx=10**400, ny=7)  # an int beyond the float range
+    assert err.value.field == "nx"
     for npts in (7.0, np.int64(7)):
         spec = PlateSpec.isotropic(**args, nx=npts, ny=npts)
         assert type(spec.nx) is type(spec.ny) is int and spec.nx == spec.ny == 7
@@ -205,17 +218,17 @@ def test_interior_sizes(table1_ss, table1_clamped):
 
 def test_load_scale_table1(table1_ss):
     sys = build_system(table1_ss)
-    np.testing.assert_allclose(sys.load, 535.714285714, rtol=1e-9)
+    np.testing.assert_allclose(sys.spec.material.load, 535.714285714, rtol=1e-9)
 
 
 def test_zero_pressure_zero_load(table1_ss):
     sys = build_system(replace(table1_ss, q=0.0))
-    assert np.all(sys.load == 0.0)
+    assert sys.spec.material.load == 0.0
 
 
 def test_square_isotropic_swap_symmetry(table1_ss):
     sys = build_system(table1_ss)
-    h1, h2, h3 = (dense_operator(sys, k) for k in (1, 2, 3))
+    h1, h2, h3 = (dense_operator(sys, k) for k in (H1, H2, H3))
     for h in (sys.h4, h1 + h3, h2):  # H4 on the quarter, the others full
         p = swap_permutation(math.isqrt(len(h)))
         np.testing.assert_allclose(p @ h @ p.T, h, rtol=1e-12, atol=1e-9)
@@ -238,12 +251,12 @@ def test_factor_products_match_dense_oracle(grid, orthotropic_spec, rng):
         z = rng.standard_normal(n)
         got = pm._products(sys, z, parity)
         assert got.shape == (8, n)
-        for k in range(1, 9):
+        for k in range(len(sys.terms)):
             ref = s @ dense_operator(sys, k) @ mirror(sys, parity) @ z
-            assert np.abs(got[k - 1] - ref).max() <= 1e-12 * np.abs(ref).max()
-        h78 = pm._products(sys, z, parity, slice(6, 8))
-        assert np.abs(h78 - got[6:]).max() <= 1e-14 * np.abs(got[6:]).max()
-    h4 = s @ dense_operator(sys, 4) @ mirror(sys, PARITY_W)
+            assert np.abs(got[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+        h78 = pm._products(sys, z, parity, slice(H7, H8 + 1))
+        assert np.abs(h78 - got[H7:H8 + 1]).max() <= 1e-14 * np.abs(got[H7:H8 + 1]).max()
+    h4 = s @ dense_operator(sys, H4) @ mirror(sys, PARITY_W)
     assert np.abs(sys.h4 - h4).max() <= 1e-12 * np.abs(h4).max()
     # [U; V] on their live nodes: zero on U's center x-line and V's center y-line
     p_u, p_v = mirror(sys, PARITY_U), mirror(sys, PARITY_V)
@@ -255,25 +268,77 @@ def test_factor_products_match_dense_oracle(grid, orthotropic_spec, rng):
     )
 
 
-@pytest.mark.parametrize("grid", sorted(FACTOR_GRIDS))
-def test_evaluation_matches_dense_oracle(grid, orthotropic_spec, rng):
-    """Every field of an evaluation at a random W against the dense full-grid
-    equations restricted to the quarter: H_k W, the strains from the
-    evaluation's own U and V mirrored, p_k = c_k H_k W and r."""
-    sys = build_system(replace(orthotropic_spec, **FACTOR_GRIDS[grid]))
-    full, s = FullGrid(sys), restrict(sys)
+def _oracle_pairs(sys, rng):
+    """(got, reference) pairs for an evaluation at a random W against the
+    dense full-grid equations, each reference still on the full grid: H_k W
+    by name, the strains from the evaluation's own U and V mirrored,
+    p_k = c_k H_k W and r; the coupled residual at random U and V; and the
+    Jacobian read from the evaluation, J(P W) P."""
+    full = FullGrid(sys)
     w = rng.standard_normal(sys.n)
     ev = evaluate(sys, w)
     wf, uf, vf = (mirror(sys, parity) @ z for parity, z in
                   ((PARITY_W, w), (PARITY_U, ev.uv[0]), (PARITY_V, ev.uv[1])))
     strains = full._strains(wf, uf, vf)
-    refs = [(ev.hw[k - 1], full.h[k] @ wf) for k in range(1, 9)]
+    refs = [(ev.hw[k], full.h[k] @ wf) for k in (H1, H2, H3, H4, H5, H6, H7, H8)]
     refs += [(got, e) for got, (_, _, e) in zip(ev.strains, strains)]
     refs += [(got, c * (full.h[k] @ wf)) for got, (c, k, _) in zip(ev.p, strains)]
     refs += [(ev.r, full.transverse(wf, uf, vf))]
-    for got, ref in refs:
+    # U and V random on their live nodes, zero on their center lines
+    s = restrict(sys)
+    u, v = (s @ mirror(sys, parity) @ rng.standard_normal(sys.n)
+            for parity in (PARITY_U, PARITY_V))
+    refs += zip(coupled_residual(sys, w, u, v), full.coupled_residual(
+        wf, mirror(sys, PARITY_U) @ u, mirror(sys, PARITY_V) @ v))
+    refs += [(jacobian(sys, ev), full.jacobian(wf) @ mirror(sys, PARITY_W))]
+    return refs
+
+
+@pytest.mark.parametrize("grid", sorted(FACTOR_GRIDS))
+def test_evaluation_matches_dense_oracle(grid, orthotropic_spec, rng):
+    """Every field of an evaluation at a random W, the coupled residual and
+    the Jacobian on two fixed grids against the dense full-grid equations
+    restricted to the quarter, each to 1e-12 of its largest entry."""
+    sys = build_system(replace(orthotropic_spec, **FACTOR_GRIDS[grid]))
+    s = restrict(sys)
+    for got, ref in _oracle_pairs(sys, rng):
         ref = s @ ref
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bc=st.sampled_from([SIMPLY_SUPPORTED, CLAMPED]),
+    kind=st.sampled_from([CHEBYSHEV, UNIFORM]),
+    nx=st.integers(5, 9),
+    ny=st.integers(5, 9),
+    b_over_a=st.floats(0.5, 2.0).filter(lambda x: abs(x - 1.0) > 0.05),
+    h_over_a=st.floats(0.002, 0.05),
+    e2_over_e1=st.floats(0.05, 2.0),
+    g12_over_e1=st.floats(0.02, 0.5),
+    nu12=st.one_of(st.just(0.0), st.floats(0.01, 0.45)),
+    q=st.integers(-1000, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluation_matches_dense_oracle_on_drawn_plates(
+    bc, kind, nx, ny, b_over_a, h_over_a, e2_over_e1, g12_over_e1, nu12, q, seed
+):
+    """The pairs of ``_oracle_pairs`` for a drawn orthotropic plate with
+    a != b, restricted to the quarter.  A clamped direction has 6 points or
+    more: with 5, a field odd in it vanishes, and the oracle's rounding is all
+    there is to compare.  Each field agrees to 1e-11 of its largest entry; in
+    2500 draws the shear strain, whose three terms cancel, came closest, at
+    4e-13."""
+    assume(bc != CLAMPED or min(nx, ny) > 5)
+    e1 = 1e7
+    spec = PlateSpec(a=10.0, b=10.0 * b_over_a, h=10.0 * h_over_a, e1=e1,
+                     e2=e1 * e2_over_e1, nu12=nu12, g12=e1 * g12_over_e1, bc=bc, q=q,
+                     nx=nx, ny=ny, grid_kind=kind)
+    sys = build_system(spec)
+    s = restrict(sys)
+    for got, ref in _oracle_pairs(sys, np.random.default_rng(seed)):
+        ref = s @ ref
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def _arrays(obj, seen):
@@ -365,7 +430,7 @@ def padded_inverse(sys):
     fx, fy = sys.factors
     (nx, ny), n = sys.quarter_shape, sys.n
     block = np.zeros((2, n, 2, n))
-    for k, rows, cols in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)):
+    for k, rows, cols in ((H1, 0, 0), (H2, 0, 1), (H2, 1, 0), (H3, 1, 1)):
         px, py = (PARITY_U, PARITY_V)[cols]
         block[rows, :, cols] = sum(
             np.kron(c * fx[px, ix], fy[py, iy]) for c, ix, iy in sys.terms[k]
@@ -535,10 +600,24 @@ def test_build_makes_one_operator_set_per_distinct_direction(table1_ss, monkeypa
     assert [len(c) for c in calls] == [sets] * 3
 
 
+def test_spec_copy_carries_its_load(orthotropic_spec, rng):
+    """The load has one owner, the spec: a system copied with a new spec
+    gives the residual and the solve of ``with_load``."""
+    sys = build_system(orthotropic_spec)
+    q = 2.0 * orthotropic_spec.q
+    copied = replace(sys, spec=replace(sys.spec, q=q))
+    loaded = with_load(sys, q)
+    w = rng.standard_normal(sys.n)
+    np.testing.assert_array_equal(residual(copied, w), residual(loaded, w))
+    a, b = (solve_plate(s.spec, system=s) for s in (copied, loaded))
+    np.testing.assert_array_equal(a.field.w_stack, b.field.w_stack)
+    assert a.report.residual_history == b.report.residual_history
+
+
 def test_with_load_only_changes_load(table1_ss):
     sys = build_system(table1_ss)
     sys2 = with_load(sys, 2.0)
-    np.testing.assert_array_equal(sys2.load, 2.0 * sys.load)
+    assert sys2.spec.material.load == 2.0 * sys.spec.material.load
     assert sys2.spec.q == 2.0
     assert sys2.h4 is sys.h4
 
@@ -588,7 +667,7 @@ def test_l_vectors_scalar_loop_oracle(table1_ss, rng):
     wf = mirror(sys, PARITY_W) @ w
     nf, (mx, my) = len(wf), sys.quarter_shape
     nxi, nyi = sys.bcx.n_interior, sys.bcy.n_interior
-    h1, h2, h3, h7, h8 = (dense_operator(sys, k) for k in (1, 2, 3, 7, 8))
+    h1, h2, h3, h7, h8 = (dense_operator(sys, k) for k in (H1, H2, H3, H7, H8))
     for a in range(mx):
         for j in range(my):
             q, i = a * my + j, a * nyi + j
@@ -626,7 +705,7 @@ def test_recover_inplane_back_substitution(table1_clamped, rng):
     full = FullGrid(sys)
     l1, l2 = full.forcing(mirror(sys, PARITY_W) @ w)
     u, v = mirror(sys, PARITY_U) @ u, mirror(sys, PARITY_V) @ v
-    h1, h2, h3 = full.h[1:4]
+    h1, h2, h3 = (full.h[k] for k in (H1, H2, H3))
     r1 = h1 @ u + h2 @ v + l1
     r2 = h2 @ u + h3 @ v + l2
     assert np.abs(r1).max() <= 1e-10 * max(np.abs(l1).max(), 1.0)
@@ -642,7 +721,7 @@ def test_recover_inplane_matches_explicit_inverses(rng):
     sys = build_system(spec)
     assert sys.bcx.n_interior * sys.bcy.n_interior == 4 and sys.n == 1
     full = FullGrid(sys)
-    h1, h2, h3 = full.h[1:4]
+    h1, h2, h3 = (full.h[k] for k in (H1, H2, H3))
     for h in (h1, h2, h3):
         assert np.linalg.cond(h) < 1e12
     w = rng.standard_normal(sys.n)
@@ -708,7 +787,7 @@ def test_evaluation_keeps_seventeen_n_doubles(table1_clamped, rng):
 
 def test_residual_at_zero_is_minus_load(table1_ss):
     sys = build_system(table1_ss)
-    np.testing.assert_array_equal(residual(sys, np.zeros(sys.n)), -sys.load)
+    np.testing.assert_array_equal(residual(sys, np.zeros(sys.n)), -sys.spec.material.load)
 
 
 def test_residual_bracket_is_exactly_cubic(table1_clamped, rng):
@@ -716,7 +795,7 @@ def test_residual_bracket_is_exactly_cubic(table1_clamped, rng):
     w = rng.standard_normal(sys.n)
 
     def bracket(z):
-        return (sys.h4 @ z - sys.load - residual(sys, z)) / sys.alpha
+        return (sys.h4 @ z - sys.spec.material.load - residual(sys, z)) / sys.alpha
 
     b1 = bracket(w)
     np.testing.assert_allclose(bracket(2.0 * w), 8.0 * b1, rtol=1e-12)
@@ -880,8 +959,8 @@ def test_recovered_fields_satisfy_boundaries(table1_clamped):
     sys, fld = sol.system, sol.field
     assert np.all(fld.w[0, :] == 0.0) and np.all(fld.w[-1, :] == 0.0)
     assert np.all(fld.w[:, 0] == 0.0) and np.all(fld.w[:, -1] == 0.0)
-    ax = dq_core.diff_matrix_first(sys.bcx.grid)
-    ay = dq_core.diff_matrix_first(sys.bcy.grid)
+    ax = dq_core.diff_matrices(sys.bcx.grid).first
+    ay = dq_core.diff_matrices(sys.bcy.grid).first
     scale = np.abs(fld.w).max() * np.abs(ax).max()
     slopes_x = ax @ fld.w
     slopes_y = fld.w @ ay.T

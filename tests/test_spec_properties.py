@@ -46,5 +46,5 @@ def test_accepted_plate_builds_a_finite_system(a, b, h, e1, e2, g12, nu12, q, bc
         system = build_system(spec)
     except (DecouplingError, AssemblyError):
         return
-    for value in (system.h4, system.inplane_inverse, system.load, system.alpha):
+    for value in (system.h4, system.inplane_inverse, spec.material.load, system.alpha):
         assert np.isfinite(value).all()
