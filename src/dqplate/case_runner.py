@@ -397,7 +397,7 @@ def _bench_one(spec: PlateSpec, solver: SolverOptions, repeats: int):
             return None
         if w_star is None:  # the SJT solve's, as it runs first
             w_star = sol.field.w_stack
-        jac = newton_solver._make_jacobian_fn(sys_n, strategy)
+        jac = newton_solver.jacobian_fn(sys_n, strategy)
         jac_ms = min(timeit.repeat(lambda: jac(plate_model.evaluate(sys_n, w_star)),
                                    number=1, repeat=repeats)) * 1e3
         rows.append([n, strategy, jac_ms, solve_ms, sol.report.iterations])

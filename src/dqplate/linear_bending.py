@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bc_builder, dq_core, plate_model
 from .bc_builder import CLAMPED, SIMPLY_SUPPORTED
-from .plate_model import PlateSpec, kron
+from .plate_model import H4, PlateSpec, kron
 
 
 def navier_ss_coefficient(aspect: float = 1.0, terms: int = 120) -> float:
@@ -117,7 +117,7 @@ def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     weights = {m: dq_core.diff_matrices(grid) for m, grid in grids.items()}
     stacks = {m: plate_model.factor_stack(dm) for m, dm in weights.items()}
     dmx, dmy = weights[nx], weights[ny]
-    op = plate_model.bending_operator(spec, mat, stacks[nx], stacks[ny])
+    op = plate_model.kron_sum(mat.terms[H4], stacks[nx], stacks[ny])
     order = "first" if spec.bc == CLAMPED else "second"
     ix, iy = np.eye(nx), np.eye(ny)
     # row (i, j) of the operator is the equation at node (x_i, y_j)

@@ -80,12 +80,13 @@ def load_ladder(spec: PlateSpec, q_values) -> list[float]:
 
 @dataclass
 class NewtonReport:
-    """Iteration record: counts, residual max-norms, per-phase wall time."""
+    """Iteration record: counts, residual max-norms, per-phase wall time, and
+    the Jacobian strategy where ``solve_plate`` chose it (None otherwise)."""
 
     iterations: int
     residual_history: list[float]
     converged: bool
-    jacobian_strategy: str
+    jacobian_strategy: str | None = None
     residual_time: float = 0.0
     jacobian_time: float = 0.0
     linear_time: float = 0.0
@@ -102,7 +103,6 @@ def newton(
     w0: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    strategy_label: str = SJT_ANALYTIC,
 ) -> tuple[Any, NewtonReport]:
     """Iterate w <- w - J(w)^-1 r(w) until max|r| <= tol.
 
@@ -113,14 +113,11 @@ def newton(
     last accepted iterate's evaluation and a report; divergence (singular
     Jacobian, non-finite values, iteration budget) is reported rather than
     raised so callers can dump diagnostics.  ``tol`` and ``max_iter`` are
-    checked by SolverOptions; the label only names the strategy in the report.
+    checked by SolverOptions.
     """
     SolverOptions(tol, max_iter)
     w = np.array(w0, dtype=float).copy()
-    report = NewtonReport(
-        iterations=0, residual_history=[], converged=False,
-        jacobian_strategy=strategy_label,
-    )
+    report = NewtonReport(iterations=0, residual_history=[], converged=False)
 
     def evaluated(z):  # what jacobian_fn takes at z, and r(z)
         t0 = perf_counter()
@@ -208,8 +205,9 @@ class PlateSolution:
     report: NewtonReport
 
 
-def _make_jacobian_fn(sys: AssembledSystem, strategy: str) -> Callable[[Any], np.ndarray]:
-    """The Jacobian of a checked strategy at an evaluation; central differences read its W."""
+def jacobian_fn(sys: AssembledSystem, strategy: str) -> Callable[[Any], np.ndarray]:
+    """The Jacobian of a checked strategy at an evaluation of ``sys``, as
+    ``newton`` takes it; central differences read the evaluation's W."""
     if strategy == FINITE_DIFFERENCE:
         return lambda ev: fd_jacobian(lambda z: plate_model.residual(sys, z), ev.w)
     return lambda ev: plate_model.jacobian(sys, ev)
@@ -240,12 +238,12 @@ def solve_plate(
         w0 = plate_model.linear_solve(sys)
     ev, report = newton(
         lambda z: plate_model.evaluate(sys, z),
-        _make_jacobian_fn(sys, strategy),
+        jacobian_fn(sys, strategy),
         w0,
         tol=tol,
         max_iter=max_iter,
-        strategy_label=strategy,
     )
+    report.jacobian_strategy = strategy
     fld = plate_model.recover_fields(sys, ev.w, *ev.uv)
     return PlateSolution(system=sys, field=fld, report=report)
 

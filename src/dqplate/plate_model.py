@@ -29,11 +29,13 @@ Each H_k is a sum of at most three Kronecker products c kron(X, Y) of 1-D
 folded matrices and is kept only as these terms, every product H_k Z going
 through the 1-D factors (sum factorization); only H4 and the in-plane block
 B, which LAPACK factors, are made dense by ``kron``, B only on the unknowns
-that parity leaves live.  ``_FORCING`` lists the in-plane right-hand side's
-products (A W) o (B W), and ``_evaluation`` the three transverse terms
-c (S W) o e.  ``evaluate`` forms them at one W once, as an ``Evaluation``:
-every H_k W in one call, then H7 and H8, single Kronecker terms, on U and V
-in one product each; the coupled residual shares this from explicit (U, V).
+that parity leaves live.  The terms do not depend on the grid: the spec's
+material derives them once, with alpha and the betas (``derive_material``).
+``_FORCING`` lists the in-plane right-hand side's products (A W) o (B W),
+and ``_evaluation`` the three transverse terms c (S W) o e.  ``evaluate``
+forms them at one W once, as an ``Evaluation``: every H_k W in one call,
+then H7 and H8, single Kronecker terms, on U and V in one product each; the
+coupled residual shares this from explicit (U, V).
 The Jacobian reads an evaluation and differentiates it into row-scaled (SJT)
 operator copies, their coefficients in one table, through the 1-D factors
 and the residual's in-plane inverse.  Every BLAS and LAPACK call of the
@@ -92,7 +94,8 @@ class PlateSpec:
     four edges.  ``nx``/``ny`` are grid point counts per direction.  Every
     rule on a plate, its material and its grid is checked here, and a
     broken one raises SpecError.  ``material`` is the DerivedMaterial that
-    the check derives, kept for assembly and the linear references.
+    the check derives, operator coefficients included, kept for assembly,
+    the residual, the Jacobian and the linear references.
     """
 
     a: float
@@ -123,14 +126,18 @@ class PlateSpec:
                 raise SpecError(name, f"must be one of {kinds}, got {getattr(self, name)!r}")
         top = dq_core.MAX_UNIFORM_POINTS if self.grid_kind == UNIFORM else dq_core.MAX_POINTS
         for name in ("nx", "ny"):
-            npts = getattr(self, name)  # an int too large for a float fails the range
-            if not (isinstance(npts, int) or float(npts).is_integer()):
-                raise SpecError(name, f"must be an integer, got {npts}")
-            object.__setattr__(self, name, int(npts))
+            npts = getattr(self, name)
+            if isinstance(npts, (float, np.floating)) and float(npts).is_integer():
+                npts = int(npts)
+            if not isinstance(npts, (int, np.integer)):  # a string is no size
+                shown = npts if isinstance(npts, (float, np.floating)) else type(npts).__name__
+                raise SpecError(name, f"must be an integer, got {shown}")
+            npts = int(npts)  # an int too large for a float fails the range
+            object.__setattr__(self, name, npts)
             if not 5 <= npts <= top:
-                raise SpecError(
-                    name, f"must be in [5, {top}] on a {self.grid_kind} grid, got {npts}"
-                )
+                # a huge int is not shown: it may be too long to print at all
+                shown = f", got {npts}" if abs(npts) < 10**6 else ""
+                raise SpecError(name, f"must be in [5, {top}] on a {self.grid_kind} grid{shown}")
         if self.bc == CLAMPED and self.nx == self.ny == 5:
             # the one interior node, the center, carries no membrane action
             raise SpecError("nx", "must not be 5 on a clamped plate with ny = 5")
@@ -174,12 +181,15 @@ class PlateSpec:
 
 @dataclass(frozen=True)
 class DerivedMaterial:
-    """Rigidities and coupling constants derived from a plate spec.
+    """Rigidities, coupling constants and operator coefficients of a plate spec.
 
     d1/d2 are the principal bending rigidities, d3 the effective twisting
     rigidity entering the mixed bending term, dk the pure torsional part,
     c the modulus on the mixed in-plane derivative.  mu = 1 - nu12 * nu21.
     ``load`` is the transverse equation's uniform load, q a^4 / (D1 h).
+    ``terms[H_k]`` gives H_k as its Kronecker terms (c, ix, iy); ``alpha``
+    and the ``betas``, one per stress row H5, H6, H2 as a (3, 1) block, scale
+    the transverse terms (see ``_coefficients``).
     """
 
     nu21: float
@@ -190,6 +200,9 @@ class DerivedMaterial:
     dk: float
     c: float
     load: float
+    terms: tuple = field(repr=False)
+    alpha: float
+    betas: np.ndarray = field(compare=False)  # an ndarray has no one truth value
 
 
 def is_finite(x) -> bool:
@@ -225,8 +238,7 @@ def derive_material(spec: PlateSpec) -> DerivedMaterial:
         d3 = nu21 * d1 + 2.0 * dk
         c = spec.nu12 * spec.e2 + mu * spec.g12
         load = spec.q * spec.a**4 / (d1 * spec.h)
-        mat = DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c, load=load)
-        terms, alpha, betas = _coefficients(spec, mat)
+        terms, alpha, betas = _coefficients(spec, nu21, mu, d1, d2, d3, c)
         derived = [nu21, d1, d2, dk, d3, c, alpha, *betas, abs(load), abs(load) ** 3]
         derived += [coef for op_terms in terms for coef, _, _ in op_terms]
     except (OverflowError, ZeroDivisionError):
@@ -240,7 +252,8 @@ def derive_material(spec: PlateSpec) -> DerivedMaterial:
             "takes a derived constant (rigidity, operator coefficient, alpha or "
             "load scale) out of the float range",
         )
-    return mat
+    return DerivedMaterial(nu21=nu21, mu=mu, d1=d1, d2=d2, d3=d3, dk=dk, c=c, load=load,
+                           terms=terms, alpha=alpha, betas=np.array(betas)[:, None])
 
 
 _ID, _D1, _D2, _D4 = range(4)  # factor indices: identity, derivative orders
@@ -287,42 +300,33 @@ def fold(mats) -> np.ndarray:
     return folded
 
 
-def _bending_terms(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
-    """Kronecker terms of the scaled bending operator."""
-    rab = spec.a / spec.b
-    return (
-        (1.0, _D4, _ID),
-        ((2.0 * mat.d3 / mat.d1) * rab**2, _D2, _D2),
-        ((mat.d2 / mat.d1) * rab**4, _ID, _D4),
-    )
-
-
 H5, H6, H2, H1, H3, H7, H8, H4 = range(8)  # the operators' positions
 
 
-def _coefficients(spec: PlateSpec, mat: DerivedMaterial) -> tuple:
-    """The scalars ``assemble`` derives from a plate: the Kronecker terms of
-    H1..H8, each at its name's position, alpha, and the betas, the coefficient
-    c of each transverse term.
+def _coefficients(spec: PlateSpec, nu21, mu, d1, d2, d3, c) -> tuple:
+    """The scalars ``derive_material`` derives from a plate and its constants:
+    the Kronecker terms of H1..H8, each at its name's position, alpha, and
+    the betas, the coefficient of each transverse term.
 
     Aspect-ratio powers follow from mapping the plate to the unit square;
     the transverse equation is normalized by the x bending rigidity, so its
-    load is ``mat.load``."""
+    load is ``DerivedMaterial.load``."""
     a, b, h = spec.a, spec.b, spec.h
     rab, ex, ey = a / b, (h / a) ** 2, (h / b) ** 2
-    shear = mat.mu * spec.g12
+    shear = mu * spec.g12
     terms = (
         ((spec.e1 * ex, _D2, _ID), (spec.nu12 * spec.e2 * ey, _ID, _D2)),    # H5
-        ((spec.e2 * ey, _ID, _D2), (mat.nu21 * spec.e1 * ex, _D2, _ID)),     # H6
-        ((mat.c, _D1, _D1),),                                                # H2
+        ((spec.e2 * ey, _ID, _D2), (nu21 * spec.e1 * ex, _D2, _ID)),         # H6
+        ((c, _D1, _D1),),                                                    # H2
         ((spec.e1, _D2, _ID), (shear * rab**2, _ID, _D2)),                   # H1
         ((spec.e2, _ID, _D2), (shear * rab**-2, _D2, _ID)),                  # H3
         ((ex, _D1, _ID),),                                                   # H7
         ((ey, _ID, _D1),),                                                   # H8
-        _bending_terms(spec, mat),                                           # H4
+        ((1.0, _D4, _ID), ((2.0 * d3 / d1) * rab**2, _D2, _D2),              # H4
+         ((d2 / d1) * rab**4, _ID, _D4)),
     )
-    alpha = a**4 / (mat.mu * mat.d1 * h)
-    betas = ((a / h) ** 2, (b / h) ** 2, 2.0 * mat.mu * spec.g12 / mat.c)
+    alpha = a**4 / (mu * d1 * h)
+    betas = ((a / h) ** 2, (b / h) ** 2, 2.0 * mu * spec.g12 / c)
     return terms, alpha, betas
 
 
@@ -332,19 +336,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
-def _kron_sum(terms, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``."""
+def kron_sum(terms, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``:
+    H4 and B on the quarter, and H4 on the auxiliary-point grid."""
     out = 0.0  # the first term adds a new array, the others add in place
     for c, ix, iy in terms:
         out += kron(c * fx[ix], fy[iy])
     return out
-
-
-def bending_operator(spec: PlateSpec, mat: DerivedMaterial, fx, fy) -> np.ndarray:
-    """Scaled bending operator over per-direction factor stacks, dense.  The
-    auxiliary-point linear center builds it from the full-grid weighting
-    matrices; ``assemble`` writes H4 from the same terms on the quarter."""
-    return _kron_sum(_bending_terms(spec, mat), fx, fy)
 
 
 @dataclass(frozen=True)
@@ -353,17 +351,18 @@ class AssembledSystem:
     once, as Kronecker terms.
 
     ``n`` is the number of quarter nodes, the length of every field vector
-    W, U and V, an array of ``quarter_shape``, row-major.  ``terms[H_k]``
-    gives H_k as its terms (c, ix, iy) over the folded factor stacks
-    ``factors`` = (X, Y), where X[p] holds the factors for an operand of x
-    parity p (see ``fold``).  ``x_mix`` and ``y_all`` lay the same terms out
-    for ``_products``, per parity: every Y^T side by side, and per operator
-    and y factor the sum of c X; ``strain_x`` (c7 D1_x) and ``strain_y`` (D1_y^T)
-    lay out H7 and H8 per field for ``_evaluation``, ``jac_table`` the terms
-    for ``jacobian`` (see ``_jacobian_table``).  H4, written from its terms
-    as ``h4``, serves the linear solve and is the Jacobian's base.  ``betas``
-    holds the transverse terms' coefficients, one per stress row H5, H6, H2,
-    as a (3, 1) block.  The load is the spec's, ``spec.material.load``.
+    W, U and V, an array of ``quarter_shape``, row-major.  The terms
+    (c, ix, iy) of H_k, alpha, the betas and the load are the spec's
+    material's (``spec.material.terms[H_k]``); the terms act over the folded
+    factor stacks ``factors`` = (X, Y), where X[p] holds the factors for an
+    operand of x parity p (see ``fold``).  ``x_mix`` and ``y_all`` lay the
+    terms out for ``_products``, per parity: every Y^T side by side, and per
+    operator and y factor the sum of c X; ``strain_x`` (c7 D1_x) and
+    ``strain_y`` (D1_y^T) lay out H7 and H8 per field for ``_evaluation``,
+    ``jac_table`` the terms for ``jacobian`` (see ``_jacobian_table``), built
+    once per system as it costs about a derivation of the material.  H4,
+    written from its terms as ``h4``, serves the linear solve and is the
+    Jacobian's base.
     ``inplane_inverse`` is B^-1, formed once on the live unknowns and laid
     out on all 2n, zero on U's and V's center lines; ``inplane_rcond`` is
     LAPACK's estimate of B's reciprocal condition number in the infinity
@@ -375,7 +374,6 @@ class AssembledSystem:
     bcy: BoundaryOperatorSet
     h4: np.ndarray
     factors: tuple = field(repr=False)
-    terms: tuple = field(repr=False)
     x_mix: np.ndarray = field(repr=False)
     y_all: np.ndarray = field(repr=False)
     strain_x: np.ndarray = field(repr=False)
@@ -383,8 +381,6 @@ class AssembledSystem:
     jac_table: np.ndarray = field(repr=False)
     n: int
     quarter_shape: tuple[int, int]
-    alpha: float
-    betas: np.ndarray
     inplane_inverse: np.ndarray = field(repr=False)
     inplane_rcond: float
 
@@ -419,8 +415,8 @@ def assemble(
 
     Kronecker products place the x-direction matrices on the row index and
     the y-direction ones on the column index of the row-stacked fields; the
-    terms' coefficients are ``_coefficients``.  H4 and the in-plane block are
-    written from the terms, and the block is inverted here.
+    terms are the spec's material's.  H4 and the in-plane block are written
+    from the terms, and the block is inverted here.
     """
     if bcx.bc_kind != spec.bc or bcy.bc_kind != spec.bc:
         raise AssemblyError("boundary operator kind does not match the spec")
@@ -433,7 +429,7 @@ def assemble(
     fy = fx if bcy is bcx else fold(bcy)
     nx, ny = fx.shape[-1], fy.shape[-1]
     n = nx * ny
-    terms, alpha, betas = _coefficients(spec, spec.material)
+    terms = spec.material.terms
     coef = np.zeros((8, 4, 4))  # [k, iy, ix]: c of the term c kron(X[ix], Y[iy]) of H_k
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
@@ -443,7 +439,7 @@ def assemble(
     strain_x = np.zeros((2, nx, 2, nx))  # block diagonal, U's parity then V's
     for f, (px, _) in enumerate((PARITY_U, PARITY_V)):
         strain_x[f, :, f] = c7 * fx[px, i7]
-    h4 = _kron_sum(terms[H4], fx[EVEN], fy[EVEN])
+    h4 = kron_sum(terms[H4], fx[EVEN], fy[EVEN])
 
     # B = [[H1, H2], [H2, H3]], each column block folded by its field's parity,
     # on the live unknowns only: U is zero on its center x-line and V on its
@@ -455,7 +451,7 @@ def assemble(
     block = np.empty((cut + nx * live[1][1],) * 2)
     for k, r, c in blocks:
         (rx, ry), (cx, cy), (px, py) = live[r], live[c], (PARITY_U, PARITY_V)[c]
-        block[at[r], at[c]] = _kron_sum(terms[k], fx[px, :, :rx, :cx], fy[py, :, :ry, :cy])
+        block[at[r], at[c]] = kron_sum(terms[k], fx[px, :, :rx, :cx], fy[py, :, :ry, :cy])
     b_inv, rcond = _invert_inplane(block)
     inverse = np.zeros((2, nx, ny, 2, nx, ny))  # B^-1, zero on the center lines
     for _, r, c in blocks:
@@ -466,16 +462,13 @@ def assemble(
         spec, bcx, bcy,
         h4=h4,
         factors=(fx, fy),
-        terms=terms,
         x_mix=x_mix.reshape(2, 8, 4, nx, nx).transpose(0, 1, 3, 2, 4).reshape(2, 8, nx, -1),
         y_all=fy.transpose(0, 3, 1, 2).reshape(2, ny, -1),
         strain_x=strain_x.reshape(2 * nx, 2 * nx),
         strain_y=np.concatenate((fy[PARITY_U[1], j8].T, fy[PARITY_V[1], j8].T), axis=1),
-        jac_table=_jacobian_table(terms, alpha, betas),
+        jac_table=_jacobian_table(spec.material),
         n=n,
         quarter_shape=(nx, ny),
-        alpha=alpha,
-        betas=np.array(betas)[:, None],
         inplane_inverse=inverse.reshape(2 * n, 2 * n),
         inplane_rcond=rcond,
     )
@@ -542,7 +535,7 @@ def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> n
 _FORCING = (((H7, H1), (H8, H2)), ((H8, H3), (H7, H2)))
 
 
-def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
+def _jacobian_table(mat: DerivedMaterial) -> np.ndarray:
     """The Jacobian's coefficients [x factor, slot, y factor, source], (27, 13),
     over the factors I, D1, D2 and the sources H_j W (at position H_j), e1, e2,
     e3, q7 and q8 (see ``jacobian``).  A part a diag(v) H_k in a slot adds a c at
@@ -550,14 +543,16 @@ def _jacobian_table(terms, alpha: float, betas: tuple) -> np.ndarray:
     diag(H_j W) H_k in yt's half b for each (H_j W) o (H_k W) of block b of
     ``_FORCING``; in the block diagonal, -alpha c diag(e) H_k for each
     transverse term c (H_k W) o e, c in ``betas``, -alpha diag(q7) H7 and
-    -alpha diag(q8) H8.  The load enters nowhere: ``with_load`` copies share it."""
+    -alpha diag(q8) H8, with ``mat``'s terms, alpha and betas.  The load enters
+    nowhere: ``with_load`` copies share the table."""
+    alpha, betas = mat.alpha, (*mat.betas[:, 0], 1.0, 1.0)
     parts = [(j, b, k, alpha) for b, block in enumerate(_FORCING) for pair in block
              for j, k in (pair, pair[::-1])]
     parts += [(8 + s, 2, k, -alpha * c)
-              for s, (c, k) in enumerate(zip(betas + (1.0, 1.0), (H5, H6, H2, H7, H8)))]
+              for s, (c, k) in enumerate(zip(betas, (H5, H6, H2, H7, H8)))]
     table = np.zeros((3, 3, 3, 13))
     for source, slot, k, a in parts:
-        for c, ix, iy in terms[k]:
+        for c, ix, iy in mat.terms[k]:
             table[ix, slot, iy, source] += a * c
     return table.reshape(27, 13)
 
@@ -579,7 +574,8 @@ def _evaluation(sys: AssembledSystem, w: np.ndarray, hw: np.ndarray, uv: np.ndar
     zero on their center lines.  [U; V] as 2 nx x-lines takes H7 in one product
     (``strain_x``) and H8 / c8 in one more, whose diagonal blocks it keeps."""
     nx, ny = sys.quarter_shape
-    ((c8, _, _),) = sys.terms[H8]
+    mat = sys.spec.material
+    ((c8, _, _),) = mat.terms[H8]
     lines = uv.reshape(2 * nx, ny)
     h7u, h7v = _matmul(sys.strain_x, lines).reshape(2, sys.n)
     h8 = _matmul(lines, sys.strain_y).reshape(2, nx, 2, ny)
@@ -589,8 +585,8 @@ def _evaluation(sys: AssembledSystem, w: np.ndarray, hw: np.ndarray, uv: np.ndar
     e3 = (h8[0, :, 0] + h7v.reshape(nx, ny)).ravel()
     e3 += hw[H7] * hw[H8]
     e = (h7u + half_sq[0], (h8[1, :, 1] + half_sq[1].reshape(nx, ny)).ravel(), e3)
-    p = sys.betas * hw[H5:H2 + 1]
-    r = hw[H4] - sys.alpha * (p[0] * e[0] + p[1] * e[1] + p[2] * e[2]) - sys.spec.material.load
+    p = mat.betas * hw[H5:H2 + 1]
+    r = hw[H4] - mat.alpha * (p[0] * e[0] + p[1] * e[1] + p[2] * e[2]) - mat.load
     return Evaluation(w, hw, uv, e, p, r)
 
 
@@ -644,7 +640,7 @@ def jacobian(sys: AssembledSystem, x) -> np.ndarray:
     # fold into A_y.  The identity stands for the folded one of U's x and
     # V's y parity, as B_U and B_V are zero on those center lines.
     fx, fy = sys.factors
-    ((c7, i7, _),), ((c8, _, j8),) = sys.terms[H7], sys.terms[H8]
+    ((c7, i7, _),), ((c8, _, j8),) = sys.spec.material.terms[H7:H8 + 1]
     b_u, b_v = sys.inplane_inverse.reshape(2, nx, ny, 2 * n)
     y = np.empty((nx, ny, 2 * n))
     t = np.empty((nx, ny, 2 * n))

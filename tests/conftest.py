@@ -62,7 +62,7 @@ def dense_operator(sys, k):
 
     return sum(
         c * np.kron(factor(sys.bcx, ix), factor(sys.bcy, iy))
-        for c, ix, iy in sys.terms[k]
+        for c, ix, iy in sys.spec.material.terms[k]
     )
 
 

@@ -39,7 +39,7 @@ class FullGrid:
 
     def __init__(self, sys):
         self.sys = sys
-        self.h = [dense_operator(sys, k) for k in range(len(sys.terms))]
+        self.h = [dense_operator(sys, k) for k in range(len(sys.spec.material.terms))]
         self.n = len(self.h[H1])
         self.load = sys.spec.material.load * np.ones(self.n)
 
@@ -60,7 +60,7 @@ class FullGrid:
     def _strains(self, w, u, v):
         h = self.h
         h7w, h8w = h[H7] @ w, h[H8] @ w
-        beta_x, beta_y, gamma = self.sys.betas[:, 0]
+        beta_x, beta_y, gamma = self.sys.spec.material.betas[:, 0]
         return (
             (beta_x, H5, h[H7] @ u + 0.5 * h7w**2),
             (beta_y, H6, h[H8] @ v + 0.5 * h8w**2),
@@ -70,7 +70,7 @@ class FullGrid:
     def transverse(self, w, u, v):
         h = self.h
         terms = sum(c * (h[k] @ w) * e for c, k, e in self._strains(w, u, v))
-        return h[H4] @ w - self.sys.alpha * terms - self.load
+        return h[H4] @ w - self.sys.spec.material.alpha * terms - self.load
 
     def residual(self, w):
         return self.transverse(w, *self.inplane(w))
@@ -103,5 +103,5 @@ class FullGrid:
         )
         jac = h[H4].copy()
         for (c, k, e), de_k in zip(self._strains(w, u, v), de):
-            jac -= self.sys.alpha * c * (row_scale(e, h[k]) + row_scale(hw[k], de_k))
+            jac -= self.sys.spec.material.alpha * c * (row_scale(e, h[k]) + row_scale(hw[k], de_k))
         return jac

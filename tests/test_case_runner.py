@@ -1,5 +1,6 @@
 """Case-file parsing, CSV artifacts, exit codes."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -519,6 +520,18 @@ def test_bench_solves_once_per_strategy(tmp_path, monkeypatch):
     assert main(["bench", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     strategies = [kwargs.get("strategy") for _, kwargs in solves]
     assert strategies == [SJT_ANALYTIC, FINITE_DIFFERENCE] * 2
+
+
+def test_cli_reads_only_public_library_names():
+    """The CLI reaches the library modules through their public names only."""
+    source = (ROOT / "src" / "dqplate" / "case_runner.py").read_text()
+    modules = {"bc_builder", "dq_core", "linear_bending", "newton_solver", "plate_model"}
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 def test_converge_mode(tmp_path):

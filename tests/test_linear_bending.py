@@ -127,8 +127,8 @@ def delta_center_by_dense_rows(spec, delta=1e-5):
     gx, gy = (bc_builder.delta_grid(dq_core.make_grid(m, spec.grid_kind), delta)
               for m in (nx, ny))
     dmx, dmy = dq_core.diff_matrices(gx), dq_core.diff_matrices(gy)
-    op = plate_model.bending_operator(
-        spec, mat, plate_model.factor_stack(dmx), plate_model.factor_stack(dmy)
+    op = plate_model.kron_sum(
+        mat.terms[plate_model.H4], plate_model.factor_stack(dmx), plate_model.factor_stack(dmy)
     )
     order = "first" if spec.bc == CLAMPED else "second"
     rows = op.reshape(nx, ny, -1)

@@ -34,6 +34,15 @@ def test_scalar_square_root():
     np.testing.assert_allclose(w, [2.0], rtol=1e-10)
 
 
+def test_only_solve_plate_names_the_strategy(table1_ss):
+    """``newton`` iterates any residual with any Jacobian, so its report names
+    no strategy; ``solve_plate``, which chose one, names it."""
+    _, report = newton(lambda x: x * x - 4.0, lambda x: np.diag(2.0 * x), np.array([3.0]))
+    assert report.converged and report.jacobian_strategy is None
+    for strategy in (SJT_ANALYTIC, FINITE_DIFFERENCE):
+        assert solve_plate(table1_ss, strategy=strategy).report.jacobian_strategy == strategy
+
+
 def test_converged_start_takes_no_step(table1_ss):
     sol = solve_plate(table1_ss)
     again = solve_plate(table1_ss, w0=sol.field.w_stack, system=sol.system)

@@ -17,6 +17,7 @@ from fullgrid_oracle import FullGrid, mirror, restrict
 from dqplate import bc_builder, dq_core, plate_model as pm
 from dqplate.bc_builder import CLAMPED, SIMPLY_SUPPORTED
 from dqplate.dq_core import CHEBYSHEV, UNIFORM
+from dqplate.linear_bending import linear_center_delta
 from dqplate.newton_solver import fd_jacobian, solve_plate
 from dqplate.plate_model import (
     H1,
@@ -105,6 +106,19 @@ def test_spec_keeps_its_material(orthotropic_spec):
     stiffer = replace(orthotropic_spec, e1=2 * orthotropic_spec.e1)
     assert stiffer.material == derive_material(stiffer) != orthotropic_spec.material
     assert replace(stiffer, e1=orthotropic_spec.e1) == orthotropic_spec
+
+
+def test_material_owns_the_coefficients(orthotropic_spec, monkeypatch):
+    """The operators' Kronecker terms, alpha and the betas are derived once,
+    with the spec's material: a build from an existing spec and the
+    auxiliary-point center derive none of them again, and the system keeps
+    no copy."""
+    calls = count_calls(monkeypatch, pm, "_coefficients")
+    sys = build_system(orthotropic_spec)
+    linear_center_delta(orthotropic_spec)
+    assert calls == []
+    assert not {"terms", "alpha", "betas"} & {f.name for f in fields(sys)}
+    assert orthotropic_spec.material.betas.shape == (3, 1)
 
 
 def test_invalid_material_rejected():
@@ -200,6 +214,25 @@ def test_spec_refuses_grids_it_cannot_solve():
     assert sol.field.center_deflection_ratio == pytest.approx(6.347, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "name, npts, rule",
+    [("nx", 10**5000, r"must be in \[5, 31\] on a chebyshev_mapped grid$"),
+     ("ny", -10**400, r"must be in \[5, 31\] on a chebyshev_mapped grid$"),
+     ("nx", "7", "must be an integer, got str$"),
+     ("ny", "x", "must be an integer, got str$"),
+     ("nx", None, "must be an integer, got NoneType$")],
+    ids=["past-the-digit-limit", "negative-huge", "numeric-string", "string", "none"],
+)
+def test_spec_refuses_any_grid_size_with_a_short_message(name, npts, rule):
+    """A grid size of any value or type is refused with SpecError and a
+    message under 100 characters: an int past Python's 4300-digit limit
+    cannot be printed, and a string is no size even where float() reads it."""
+    sizes = {"nx": 7, "ny": 7, name: npts}
+    with pytest.raises(SpecError, match=f"^{name} {rule}") as err:
+        PlateSpec.isotropic(a=1.0, h=0.01, e=1e6, nu=0.3, q=1.0, bc=CLAMPED, **sizes)
+    assert err.value.field == name and len(str(err.value)) < 100
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -251,7 +284,7 @@ def test_factor_products_match_dense_oracle(grid, orthotropic_spec, rng):
         z = rng.standard_normal(n)
         got = pm._products(sys, z, parity)
         assert got.shape == (8, n)
-        for k in range(len(sys.terms)):
+        for k in range(len(sys.spec.material.terms)):
             ref = s @ dense_operator(sys, k) @ mirror(sys, parity) @ z
             assert np.abs(got[k] - ref).max() <= 1e-12 * np.abs(ref).max()
         h78 = pm._products(sys, z, parity, slice(H7, H8 + 1))
@@ -433,7 +466,7 @@ def padded_inverse(sys):
     for k, rows, cols in ((H1, 0, 0), (H2, 0, 1), (H2, 1, 0), (H3, 1, 1)):
         px, py = (PARITY_U, PARITY_V)[cols]
         block[rows, :, cols] = sum(
-            np.kron(c * fx[px, ix], fy[py, iy]) for c, ix, iy in sys.terms[k]
+            np.kron(c * fx[px, ix], fy[py, iy]) for c, ix, iy in sys.spec.material.terms[k]
         )
     live = np.ones((2, nx, ny), dtype=bool)
     live[0, sys.bcx.n_interior // 2:] = live[1, :, sys.bcy.n_interior // 2:] = False
@@ -581,7 +614,7 @@ def test_x_mix_is_the_term_by_term_layout(bc, ny, orthotropic_spec):
     fx = sys.factors[0]
     nx = fx.shape[-1]
     ref = np.zeros((2, 8, nx, 4, nx))
-    for k, op_terms in enumerate(sys.terms):
+    for k, op_terms in enumerate(sys.spec.material.terms):
         for c, ix, iy in op_terms:
             ref[:, k, :, iy] += c * fx[:, ix]
     assert_same_bits(sys.x_mix, ref.reshape(2, 8, nx, -1))
@@ -795,7 +828,7 @@ def test_residual_bracket_is_exactly_cubic(table1_clamped, rng):
     w = rng.standard_normal(sys.n)
 
     def bracket(z):
-        return (sys.h4 @ z - sys.spec.material.load - residual(sys, z)) / sys.alpha
+        return (sys.h4 @ z - sys.spec.material.load - residual(sys, z)) / sys.spec.material.alpha
 
     b1 = bracket(w)
     np.testing.assert_allclose(bracket(2.0 * w), 8.0 * b1, rtol=1e-12)
