@@ -64,7 +64,7 @@ def clamped_ritz_coefficient(aspect: float = 1.0, modes: int = 24) -> float:
         + np.diag(g2 / 2.0 * np.outer(c, c).ravel())
     )
     f = np.ones(modes * modes)  # integral of each basis function over the unit square
-    coeffs = np.linalg.solve(k, f)
+    coeffs = plate_model.lu_solve(k.T, f)  # k is symmetric: its Fortran view, factored in place
     center = 1.0 - (-1.0) ** np.arange(1, modes + 1)  # 1 - cos(m pi) at X = 1/2
     return float(np.outer(center, center).ravel() @ coeffs)
 

@@ -38,8 +38,9 @@ then H7 and H8, single Kronecker terms, on U and V in one product each; the
 coupled residual shares this from explicit (U, V).
 The Jacobian reads an evaluation and differentiates it into row-scaled (SJT)
 operator copies, their coefficients in one table, through the 1-D factors
-and the residual's in-plane inverse.  Every BLAS and LAPACK call of the
-Newton iteration goes through scipy, and every dense solve through ``lu_solve``.
+and the residual's in-plane inverse, each stage one product call.  LAPACK
+and 2-D products run in scipy's BLAS, stacks of them (one per x-line or
+y-point) in numpy's matmul (``_matmul``), every dense solve in ``lu_solve``.
 
 Operator roles: H1/H3 are the in-plane stiffness blocks of the x/y
 equilibrium equations, H2 the mixed-derivative coupling block, H4 the
@@ -357,10 +358,10 @@ class AssembledSystem:
     factor stacks ``factors`` = (X, Y), where X[p] holds the factors for an
     operand of x parity p (see ``fold``).  ``x_mix`` and ``y_all`` lay the
     terms out for ``_products``, per parity: every Y^T side by side, and per
-    operator and y factor the sum of c X; ``strain_x`` (c7 D1_x) and
-    ``strain_y`` (D1_y^T) lay out H7 and H8 per field for ``_evaluation``,
-    ``jac_table`` the terms for ``jacobian`` (see ``_jacobian_table``), built
-    once per system as it costs about a derivation of the material.  H4,
+    operator the sums of c X over (x-line, y factor), the rows of Z Y_all;
+    ``strain_x`` (c7 D1_x) and ``strain_y`` (D1_y^T) lay out H7 and H8 per
+    field for ``_evaluation``, ``jac_table`` the terms for ``jacobian`` with
+    the y factors (see ``_jacobian_table``), built once per system.  H4,
     written from its terms as ``h4``, serves the linear solve and is the
     Jacobian's base.
     ``inplane_inverse`` is B^-1, formed once on the live unknowns and laid
@@ -430,11 +431,11 @@ def assemble(
     nx, ny = fx.shape[-1], fy.shape[-1]
     n = nx * ny
     terms = spec.material.terms
-    coef = np.zeros((8, 4, 4))  # [k, iy, ix]: c of the term c kron(X[ix], Y[iy]) of H_k
+    coef = np.zeros((8, 4, 4))  # [k, ix, iy]: c of the term c kron(X[ix], Y[iy]) of H_k
     for k, op_terms in enumerate(terms):
         for c, ix, iy in op_terms:
-            coef[k, iy, ix] = c
-    x_mix = coef.reshape(32, 4) @ fx.reshape(2, 4, -1)  # [p, (k, iy), (i, j)]
+            coef[k, ix, iy] = c
+    x_mix = _matmul(fx.transpose(0, 2, 3, 1).reshape(2, 1, -1, 4), coef)  # [p, k, (i, j), iy]
     ((c7, i7, _),), ((_, _, j8),) = terms[H7], terms[H8]  # c7 kron(D1, I), c8 kron(I, D1)
     strain_x = np.zeros((2, nx, 2, nx))  # block diagonal, U's parity then V's
     for f, (px, _) in enumerate((PARITY_U, PARITY_V)):
@@ -462,11 +463,11 @@ def assemble(
         spec, bcx, bcy,
         h4=h4,
         factors=(fx, fy),
-        x_mix=x_mix.reshape(2, 8, 4, nx, nx).transpose(0, 1, 3, 2, 4).reshape(2, 8, nx, -1),
+        x_mix=x_mix.reshape(2, 8, nx, -1),
         y_all=fy.transpose(0, 3, 1, 2).reshape(2, ny, -1),
         strain_x=strain_x.reshape(2 * nx, 2 * nx),
         strain_y=np.concatenate((fy[PARITY_U[1], j8].T, fy[PARITY_V[1], j8].T), axis=1),
-        jac_table=_jacobian_table(spec.material),
+        jac_table=_jacobian_table(spec.material, fy[EVEN]),
         n=n,
         quarter_shape=(nx, ny),
         inplane_inverse=inverse.reshape(2 * n, 2 * n),
@@ -505,10 +506,12 @@ def _check_size(sys: AssembledSystem, w: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out=None, beta=0.0) -> np.ndarray:
-    """a @ b (+ beta out, written into ``out`` when given) for C-ordered
-    arrays, in scipy's BLAS.  The solve path's products and solves all use
-    scipy's thread pool, as the in-plane LU does: switching between numpy's
-    and scipy's pools made threaded calls stall 20-190 ms."""
+    """a @ b (+ beta out, written into ``out`` when given): two C-ordered
+    matrices in scipy's BLAS, where LAPACK runs, two stacks (beta 0) in numpy's
+    matmul, each item small enough up to N = 31 to run on one thread; only a
+    threaded call in one pool stalls the next call in the other."""
+    if a.ndim > 2:
+        return np.matmul(a, b, out=out)
     if out is None:
         return blas.dgemm(1.0, b.T, a.T).T
     return blas.dgemm(1.0, b.T, a.T, beta=beta, c=out.T, overwrite_c=True).T
@@ -522,10 +525,9 @@ def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> n
     one more every operator's x factors with its term coefficients."""
     px, py = parity
     nx, ny = sys.quarter_shape
-    zy = _matmul(z.reshape(nx, ny), sys.y_all[py])  # [a, (iy, j)]: Z Y_iy^T
-    zy = zy.reshape(nx, -1, ny).transpose(1, 0, 2).reshape(-1, ny)
+    zy = _matmul(z.reshape(nx, ny), sys.y_all[py])  # [a, (iy, j)]: Z Y_iy^T, rows (a, iy)
     x_mix = sys.x_mix[px, ops]
-    return _matmul(x_mix.reshape(-1, x_mix.shape[-1]), zy).reshape(-1, sys.n)
+    return _matmul(x_mix.reshape(-1, x_mix.shape[-1]), zy.reshape(-1, ny)).reshape(-1, sys.n)
 
 
 # The in-plane right-hand side [l1; l2]: each block a sum of products
@@ -535,26 +537,27 @@ def _products(sys: AssembledSystem, z: np.ndarray, parity, ops=slice(None)) -> n
 _FORCING = (((H7, H1), (H8, H2)), ((H8, H3), (H7, H2)))
 
 
-def _jacobian_table(mat: DerivedMaterial) -> np.ndarray:
-    """The Jacobian's coefficients [x factor, slot, y factor, source], (27, 13),
-    over the factors I, D1, D2 and the sources H_j W (at position H_j), e1, e2,
-    e3, q7 and q8 (see ``jacobian``).  A part a diag(v) H_k in a slot adds a c at
-    [X, slot, Y, v] for each term c kron(X, Y) of H_k.  The parts: alpha
-    diag(H_j W) H_k in yt's half b for each (H_j W) o (H_k W) of block b of
-    ``_FORCING``; in the block diagonal, -alpha c diag(e) H_k for each
-    transverse term c (H_k W) o e, c in ``betas``, -alpha diag(q7) H7 and
-    -alpha diag(q8) H8, with ``mat``'s terms, alpha and betas.  The load enters
-    nowhere: ``with_load`` copies share the table."""
+def _jacobian_table(mat: DerivedMaterial, fy: np.ndarray) -> np.ndarray:
+    """The Jacobian's coefficients c[X, slot, Y, source] over the factors I,
+    D1, D2 and the sources H_j W (at position H_j), e1, e2, e3, q7 and q8 (see
+    ``jacobian``), contracted with the y factors ``fy``: (ny, 3 ny, 3, 13), at
+    [l, (r, slot), X, source] the sum over Y of Y[l, r] c[X, slot, Y, source].
+    A part a diag(v) H_k in a slot adds a c at [X, slot, Y, v] for each term
+    c kron(X, Y) of H_k.  The parts: alpha diag(H_j W) H_k in yt's half b for
+    each (H_j W) o (H_k W) of block b of ``_FORCING``; in the block diagonal,
+    -alpha c diag(e) H_k for each transverse term c (H_k W) o e, c in
+    ``betas``, -alpha diag(q7) H7 and -alpha diag(q8) H8, with ``mat``'s terms,
+    alpha and betas.  The load enters nowhere: ``with_load`` copies share it."""
     alpha, betas = mat.alpha, (*mat.betas[:, 0], 1.0, 1.0)
     parts = [(j, b, k, alpha) for b, block in enumerate(_FORCING) for pair in block
              for j, k in (pair, pair[::-1])]
     parts += [(8 + s, 2, k, -alpha * c)
               for s, (c, k) in enumerate(zip(betas, (H5, H6, H2, H7, H8)))]
-    table = np.zeros((3, 3, 3, 13))
-    for source, slot, k, a in parts:
-        for c, ix, iy in mat.terms[k]:
-            table[ix, slot, iy, source] += a * c
-    return table.reshape(27, 13)
+    at, coef = zip(*[(((iy * 3 + slot) * 3 + ix) * 13 + source, a * c)
+                     for source, slot, k, a in parts for c, ix, iy in mat.terms[k]])
+    table = np.bincount(at, coef, minlength=351).reshape(3, -1)  # [Y, (slot, X, source)]
+    table = _matmul(fy[:3].reshape(3, -1).T, table)  # [(l, r), (slot, X, source)]
+    return table.reshape(len(fy[0]), -1, 3, 13)
 
 
 def _inplane_forcing(hw: np.ndarray) -> np.ndarray:
@@ -623,8 +626,8 @@ def jacobian(sys: AssembledSystem, x) -> np.ndarray:
     act on U or V and take the factors of that field's parity.
 
     With the x index outermost in a row-stacked field, kron(X, I) Z is one
-    product of X with Z seen as N_x rows, and kron(I, Y) Z is Y times each
-    x-line block of Z, where a row scaling folds into the factor.  J is
+    product of X with Z seen as N_x rows, and kron(I, Y) Z is Y times every
+    x-line block of Z in one stacked product, a row scaling folded in.  J is
     built as J^T, C-ordered, so that the right-hand products become
     left-hand ones, and is returned in Fortran order, ready to be factored
     in place.
@@ -633,55 +636,50 @@ def jacobian(sys: AssembledSystem, x) -> np.ndarray:
     _, hw, _, strains, (p1, p2, p3), _ = x if isinstance(x, Evaluation) else evaluate(sys, x)
     n, (nx, ny) = sys.n, sys.quarter_shape
 
-    # Y = diag(p1) H7 B_U + diag(p3) H7 B_V + diag(p3) H8 B_U + diag(p2) H8 B_V,
-    # with B_U, B_V the row blocks of B^-1 and H7 = c7 kron(A_x, I),
-    # H8 = c8 kron(I, A_y): the H7 products in one product each and their
-    # row scalings, then line by line the H8 products, whose row scalings
-    # fold into A_y.  The identity stands for the folded one of U's x and
-    # V's y parity, as B_U and B_V are zero on those center lines.
+    # Y = diag(p1) H7 B_U + diag(p3) H7 B_V + diag(p3) H8 B_U + diag(p2) H8 B_V
+    # for the row blocks B_U, B_V of B^-1: H7 = c7 kron(A_x, I) in one product
+    # per block, row-scaled after, H8 = c8 kron(I, A_y) stacked over x-lines,
+    # its row scaling folded into A_y.  The identity stands for the folded one
+    # of U's x and V's y parity, as B_U and B_V are zero on those center lines.
     fx, fy = sys.factors
     ((c7, i7, _),), ((c8, _, j8),) = sys.spec.material.terms[H7:H8 + 1]
     b_u, b_v = sys.inplane_inverse.reshape(2, nx, ny, 2 * n)
-    y = np.empty((nx, ny, 2 * n))
-    t = np.empty((nx, ny, 2 * n))
+    y, t = np.empty((nx, ny, 2 * n)), np.empty((nx, ny, 2 * n))
     _matmul(c7 * fx[PARITY_U[0], i7], b_u.reshape(nx, -1), out=y.reshape(nx, -1))
     _matmul(c7 * fx[PARITY_V[0], i7], b_v.reshape(nx, -1), out=t.reshape(nx, -1))
     y *= p1.reshape(nx, ny, 1)
     t *= p3.reshape(nx, ny, 1)
     y += t
-    f_u = (c8 * p3).reshape(nx, ny, 1) * fy[PARITY_U[1], j8]
-    f_v = (c8 * p2).reshape(nx, ny, 1) * fy[PARITY_V[1], j8]
-    for i in range(nx):
-        _matmul(f_u[i], b_u[i], out=y[i], beta=1.0)
-        _matmul(f_v[i], b_v[i], out=y[i], beta=1.0)
+    for p, (_, py), b in ((p3, PARITY_U, b_u), (p2, PARITY_V, b_v)):
+        y += _matmul((c8 * p).reshape(nx, ny, 1) * fy[py, j8], b, out=t)
     # yt[i, b]: x-line i's block of Y_b^T, for Y = [Y_0, Y_1] acting on [l1; l2]
-    yt = t.reshape(nx, 2, ny, n)
-    np.copyto(yt, y.reshape(n, 2, nx, ny).transpose(2, 1, 3, 0))
+    yt = t.reshape(nx, 2 * ny, n)
+    np.copyto(yt.reshape(nx, 2, ny, n), y.reshape(n, 2, nx, ny).transpose(2, 1, 3, 0))
     del y
 
     # J^T = H4^T + M_I + kron(D1_x^T, I) M_1 + kron(D2_x^T, I) M_2, one M per
     # x factor X of the operators' terms (only H4 uses D4).  On x-line block
-    # i, M_X is f[i, X] times yt[i]'s two halves plus the block diagonal
-    # d[i, X], each a sum over the y factors Y of Y^T diag(v_i) (diag(v_i) for
-    # Y = I), v the sources combined by the table: one product, one einsum.
+    # i, M_X is f[i] times yt[i]'s two halves plus the block diagonal d[i],
+    # each a sum over the y factors Y of Y^T diag(v_i) (diag(v_i) for Y = I),
+    # v the sources combined by the table, stacked over the y-points.  M_I
+    # goes into J^T, M_1 and M_2 in turn into m, to which D1_x^T or D2_x^T
+    # applies: one such buffer at a time keeps the peak under 5 n^2.
     q7, q8 = p1 * hw[H7] + p3 * hw[H8], p2 * hw[H8] + p3 * hw[H7]
-    v = _matmul(sys.jac_table, np.concatenate((hw, (*strains, q7, q8))))
-    g = np.einsum("ylr,xsyil->ixrsl", fy[EVEN, :3], v.reshape(3, 3, 3, nx, ny))
-    del v
-    f, d = g[:, :, :, :2], g[:, :, :, 2]
-
-    # M_I goes straight into J^T.  M_1 and M_2 take the place of yt, block by
-    # block, as its two halves: one product then applies D1_x^T and D2_x^T.
-    jt = np.empty((n, n))
-    np.copyto(jt, sys.h4.T)
-    for i in range(nx):
-        z = yt[i].reshape(2 * ny, n)
-        _matmul(f[i, 0].reshape(ny, 2 * ny), z, out=jt[i * ny:(i + 1) * ny], beta=1.0)
-        z[...] = _matmul(f[i, 1:].reshape(2 * ny, 2 * ny), z)
-    np.einsum("ajak->ajk", jt.reshape(nx, ny, nx, ny))[...] += d[:, 0]
-    np.einsum("igjik->igjk", yt.reshape(nx, 2, ny, nx, ny))[...] += d[:, 1:]
-    x_factors = fx[EVEN, _D1:_D2 + 1].transpose(2, 1, 0).reshape(nx, 2 * nx)
-    _matmul(x_factors, yt.reshape(2 * nx, -1), out=jt.reshape(nx, -1), beta=1.0)
+    sources = np.concatenate((hw, (*strains, q7, q8))).reshape(13, nx, ny)
+    sources = sources.transpose(2, 0, 1).copy()  # [l, source, i]
+    g = np.empty((nx, ny, 3, ny))  # [i, r, slot, l]
+    g_lrsi = g.transpose(3, 1, 2, 0).reshape(ny, -1, nx)  # a view: r and slot merge
+    f, d = g[..., :2, :].reshape(nx, ny, 2 * ny), g[..., 2, :]
+    jt, m = np.empty((n, n)), np.empty((n, n))
+    jt_d, m_d = (np.einsum("ajak->ajk", a.reshape(nx, ny, nx, ny)) for a in (jt, m))
+    for k, out, diag in ((_ID, jt, jt_d), (_D1, m, m_d), (_D2, m, m_d)):
+        _matmul(sys.jac_table[:, :, k], sources, out=g_lrsi)
+        _matmul(f, yt, out=out.reshape(nx, ny, n))
+        diag += d
+        if k != _ID:
+            _matmul(fx[EVEN, k].T, m.reshape(nx, -1), out=jt.reshape(nx, -1), beta=1.0)
+    del m, m_d, yt, t  # first: adding the transposed H4 takes a 64 KB buffer
+    jt += sys.h4.T
     return jt.T
 
 

@@ -49,6 +49,18 @@ def test_clamped_ritz_pinned_values(aspect, expected):
     assert clamped_ritz_coefficient(aspect) == pytest.approx(expected, rel=1e-13)
 
 
+def test_clamped_ritz_solves_in_scipys_lapack(monkeypatch):
+    """The 576 x 576 Ritz system is solved by ``plate_model.lu_solve``, in the
+    BLAS pool of every other solve: a threaded numpy solve leaves numpy's
+    workers spinning, which stalls the next scipy call."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert clamped_ritz_coefficient() == pytest.approx(0.0012652880493825263, rel=1e-13)
+
+
 def test_series_coefficient_dispatch():
     assert series_coefficient(SIMPLY_SUPPORTED) == pytest.approx(
         navier_ss_coefficient()

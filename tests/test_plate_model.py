@@ -343,10 +343,11 @@ def test_evaluation_matches_dense_oracle(grid, orthotropic_spec, rng):
 @given(
     bc=st.sampled_from([SIMPLY_SUPPORTED, CLAMPED]),
     kind=st.sampled_from([CHEBYSHEV, UNIFORM]),
-    nx=st.integers(5, 9),
-    ny=st.integers(5, 9),
+    nx=st.integers(5, 13),
+    ny=st.integers(5, 13),
     b_over_a=st.floats(0.5, 2.0).filter(lambda x: abs(x - 1.0) > 0.05),
     h_over_a=st.floats(0.002, 0.05),
+    isotropic=st.booleans(),
     e2_over_e1=st.floats(0.05, 2.0),
     g12_over_e1=st.floats(0.02, 0.5),
     nu12=st.one_of(st.just(0.0), st.floats(0.01, 0.45)),
@@ -354,16 +355,19 @@ def test_evaluation_matches_dense_oracle(grid, orthotropic_spec, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluation_matches_dense_oracle_on_drawn_plates(
-    bc, kind, nx, ny, b_over_a, h_over_a, e2_over_e1, g12_over_e1, nu12, q, seed
+    bc, kind, nx, ny, b_over_a, h_over_a, isotropic, e2_over_e1, g12_over_e1, nu12, q, seed
 ):
-    """The pairs of ``_oracle_pairs`` for a drawn orthotropic plate with
-    a != b, restricted to the quarter.  A clamped direction has 6 points or
-    more: with 5, a field odd in it vanishes, and the oracle's rounding is all
-    there is to compare.  Each field agrees to 1e-11 of its largest entry; in
-    2500 draws the shear strain, whose three terms cancel, came closest, at
-    4e-13."""
+    """The pairs of ``_oracle_pairs`` for a drawn plate with a != b,
+    orthotropic or isotropic, restricted to the quarter.  Up to 13 points per
+    direction, the stacked products of the Jacobian run over 5 or 6 x-lines.
+    A clamped direction has 6 points or more: with 5, a field odd in it
+    vanishes, and the oracle's rounding is all there is to compare.  Each
+    field agrees to 1e-11 of its largest entry; in 2500 draws the shear
+    strain, whose three terms cancel, came closest, at 4e-13."""
     assume(bc != CLAMPED or min(nx, ny) > 5)
     e1 = 1e7
+    if isotropic:
+        e2_over_e1, g12_over_e1 = 1.0, 1.0 / (2.0 * (1.0 + nu12))
     spec = PlateSpec(a=10.0, b=10.0 * b_over_a, h=10.0 * h_over_a, e1=e1,
                      e2=e1 * e2_over_e1, nu12=nu12, g12=e1 * g12_over_e1, bc=bc, q=q,
                      nx=nx, ny=ny, grid_kind=kind)
@@ -608,15 +612,16 @@ def test_rectangular_grid_builds_two_sets(orthotropic_spec):
 @pytest.mark.parametrize("bc", [SIMPLY_SUPPORTED, CLAMPED])
 @pytest.mark.parametrize("ny", [9, 11])
 def test_x_mix_is_the_term_by_term_layout(bc, ny, orthotropic_spec):
-    """x_mix[p, k, :, iy] is the sum of c X_p[ix] over the terms c kron(X[ix],
-    Y[iy]) of H_k, laid out here term by term."""
+    """x_mix[p, k, :, :, iy] is the sum of c X_p[ix] over the terms c
+    kron(X[ix], Y[iy]) of H_k, laid out here term by term: the contraction
+    axis runs over (x-line, y factor), the rows of Z Y_all."""
     sys = build_system(replace(orthotropic_spec, bc=bc, nx=9, ny=ny))
     fx = sys.factors[0]
     nx = fx.shape[-1]
-    ref = np.zeros((2, 8, nx, 4, nx))
+    ref = np.zeros((2, 8, nx, nx, 4))
     for k, op_terms in enumerate(sys.spec.material.terms):
         for c, ix, iy in op_terms:
-            ref[:, k, :, iy] += c * fx[:, ix]
+            ref[:, k, :, :, iy] += c * fx[:, ix]
     assert_same_bits(sys.x_mix, ref.reshape(2, 8, nx, -1))
 
 
@@ -914,6 +919,22 @@ def test_jacobian_allocates_below_five_n_squared(table1_ss, rng):
     finally:
         tracemalloc.stop()
     assert peak < 5 * sys.n**2 * 8
+
+
+def test_jacobian_call_count_does_not_grow_with_the_grid(orthotropic_spec, monkeypatch, rng):
+    """Every product of one Jacobian goes through ``_matmul``, a stack of
+    them over all x-lines or y-points as one call, so 9 x 9 and 21 x 21 make
+    equally many calls; each is a product of two matrices or of two stacks."""
+    counts = []
+    for npts in (9, 21):
+        sys = build_system(replace(orthotropic_spec, nx=npts, ny=npts))
+        ev = evaluate(sys, rng.standard_normal(sys.n))
+        calls = count_calls(monkeypatch, pm, "_matmul")
+        jacobian(sys, ev)
+        monkeypatch.undo()
+        assert all(a.ndim == b.ndim in (2, 3) for (a, b, *_), _ in calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_jacobian_swap_equivariance(table1_ss, rng):
