@@ -10,12 +10,12 @@ plates (center w = coefficient * q a^4 / D):
 
 Both serve as oracles for the linear limit of the collocation solver and
 as the error reference in boundary-treatment comparison runs.  The module
-also holds the whole linear comparison: the linear-limit center with the
-built-in boundary reductions, which is the Newton start of an assembled
-system (``builtin_center`` reads it from a system the caller already has,
-``linear_center_builtin`` builds one from a spec), and with the
-auxiliary-point (delta) row replacement on the full moved grid.  Both end in
-``plate_model.solve_bending``, the row-equilibrated solve.
+also holds the whole linear comparison, both centers on the symmetric
+quarter and solved by ``plate_model.solve_bending``: with the built-in
+boundary reductions, the Newton start (``builtin_center`` of a system,
+``linear_center_builtin`` of a spec, with the system's H4 and recovery maps
+but no in-plane block), and with the auxiliary-point (delta) row
+replacement on the folded moved grid.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bc_builder, dq_core, plate_model
 from .bc_builder import CLAMPED, SIMPLY_SUPPORTED
-from .plate_model import H4, PlateSpec, kron
+from .plate_model import EVEN, PARITY_W, PlateSpec, kron
 
 
 def navier_ss_coefficient(aspect: float = 1.0, terms: int = 120) -> float:
@@ -100,35 +100,38 @@ def builtin_center(sys: plate_model.AssembledSystem) -> float:
 
 
 def linear_center_builtin(spec: PlateSpec) -> float:
-    """``builtin_center`` of a system built for ``spec``."""
-    return builtin_center(plate_model.build_system(spec))
+    """``builtin_center`` of a system built for ``spec``, without the system:
+    H4 and W's recovery through ``assemble``'s and ``recover_fields``' own
+    helpers, and no in-plane block."""
+    bcx, bcy = plate_model.reduced_operators(spec)
+    h4 = plate_model.fold_bending(spec.material, bcx, bcy)[2]
+    w = plate_model.solve_bending(h4, np.full(len(h4), spec.material.load))
+    (w_full,) = plate_model.unfold(bcx, bcy, (w, PARITY_W))
+    return plate_model._interp_center(w_full, bcx.grid.nodes, bcy.grid.nodes)
 
 
 def linear_center_delta(spec: PlateSpec, delta: float = 1e-5) -> float:
     """Linear-limit center w/h by auxiliary-point row replacement on the moved
-    grid: value rows on the edges, then derivative rows (slope if clamped,
-    curvature if simply supported) on the auxiliary x-lines, then on the rest
-    of the auxiliary y-lines."""
-    mat = spec.material
-    nx, ny = spec.nx, spec.ny
-    kind = spec.grid_kind
-    # one grid, weight set and factor stack per distinct point count
-    grids = {m: bc_builder.delta_grid(dq_core.make_grid(m, kind), delta) for m in {nx, ny}}
-    weights = {m: dq_core.diff_matrices(grid) for m, grid in grids.items()}
-    stacks = {m: plate_model.factor_stack(dm) for m, dm in weights.items()}
-    dmx, dmy = weights[nx], weights[ny]
-    op = plate_model.kron_sum(mat.terms[H4], stacks[nx], stacks[ny])
-    order = "first" if spec.bc == CLAMPED else "second"
+    grid's quarter (every row is mirror-symmetric, so W is even): value rows
+    at index 0, then derivative rows (slope if clamped, curvature if simply
+    supported) at index 1, on the auxiliary x-line, then the y-line's rest."""
+    # one grid, weight set, fold and mirror map per distinct point count
+    weights = {m: dq_core.diff_matrices(bc_builder.delta_grid(
+        dq_core.make_grid(m, spec.grid_kind), delta)) for m in {spec.nx, spec.ny}}
+    mirror = {m: plate_model.mirror_maps(m)[EVEN] for m in weights}
+    fx, fy, op = plate_model.fold_bending(spec.material, weights[spec.nx], weights[spec.ny])
+    nx, ny = fx.shape[-1], fy.shape[-1]
+    order = 1 if spec.bc == CLAMPED else 2  # the factor of the slope or the curvature
+    dx, dy = fx[EVEN, order, 1], fy[EVEN, order, 1]  # its rows at index 1
     ix, iy = np.eye(nx), np.eye(ny)
-    # row (i, j) of the operator is the equation at node (x_i, y_j)
+    # rows[i, j, a, b]: the equation at quarter node (x_i, y_j) on W at (x_a, y_b)
     rows = op.reshape(nx, ny, nx, ny)
-    edge, aux = [0, -1], [1, -2]
-    rows[edge] = kron(ix[edge], iy).reshape(2, ny, nx, ny)
-    rows[:, edge] = kron(ix, iy[edge]).reshape(nx, 2, nx, ny)
-    rows[aux, 1:-1] = kron(getattr(dmx, order)[aux], iy[1:-1]).reshape(2, ny - 2, nx, ny)
-    rows[2:-2, aux] = kron(ix[2:-2], getattr(dmy, order)[aux]).reshape(nx - 4, 2, nx, ny)
+    rows[0] = ix[0, :, None] * iy[:, None]
+    rows[:, 0] = ix[:, :, None] * iy[0]
+    rows[1, 1:] = dx[:, None] * iy[1:, None]
+    rows[2:, 1] = ix[2:, :, None] * dy
     rhs = np.zeros((nx, ny))
-    rhs[2:-2, 2:-2] = mat.load
-    # the unknowns are the values at every node of the moved grid
-    w = plate_model.solve_bending(op, rhs.ravel())
-    return plate_model._interp_center(w.reshape(nx, ny), dmx.grid.nodes, dmy.grid.nodes)
+    rhs[2:, 2:] = spec.material.load
+    w = plate_model.solve_bending(op, rhs.ravel()).reshape(nx, ny)
+    w = mirror[spec.nx] @ w @ mirror[spec.ny].T
+    return plate_model._interp_center(w, weights[spec.nx].grid.nodes, weights[spec.ny].grid.nodes)

@@ -338,12 +338,19 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_sum(terms, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``:
-    H4 and B on the quarter, and H4 on the auxiliary-point grid."""
+    """Dense sum of the Kronecker terms over the factor stacks ``fx``, ``fy``."""
     out = 0.0  # the first term adds a new array, the others add in place
     for c, ix, iy in terms:
         out += kron(c * fx[ix], fy[iy])
     return out
+
+
+def fold_bending(mat: DerivedMaterial, xmats, ymats) -> tuple:
+    """The folded factors (X, Y) of x's and y's matrices, one fold if they are
+    one set, and H4, dense: for ``assemble`` and both linear centers alike."""
+    fx = fold(xmats)
+    fy = fx if ymats is xmats else fold(ymats)
+    return fx, fy, kron_sum(mat.terms[H4], fx[EVEN], fy[EVEN])
 
 
 @dataclass(frozen=True)
@@ -426,8 +433,7 @@ def assemble(
             f"operator grids ({bcx.grid.n}, {bcy.grid.n}) do not match the "
             f"spec grids ({spec.nx}, {spec.ny})"
         )
-    fx = fold(bcx)
-    fy = fx if bcy is bcx else fold(bcy)
+    fx, fy, h4 = fold_bending(spec.material, bcx, bcy)
     nx, ny = fx.shape[-1], fy.shape[-1]
     n = nx * ny
     terms = spec.material.terms
@@ -440,7 +446,6 @@ def assemble(
     strain_x = np.zeros((2, nx, 2, nx))  # block diagonal, U's parity then V's
     for f, (px, _) in enumerate((PARITY_U, PARITY_V)):
         strain_x[f, :, f] = c7 * fx[px, i7]
-    h4 = kron_sum(terms[H4], fx[EVEN], fy[EVEN])
 
     # B = [[H1, H2], [H2, H3]], each column block folded by its field's parity,
     # on the live unknowns only: U is zero on its center x-line and V on its
@@ -785,31 +790,23 @@ def _interp_center(values: np.ndarray, xn: np.ndarray, yn: np.ndarray) -> float:
     )
 
 
-def recover_fields(
-    sys: AssembledSystem,
-    w: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> SolutionField:
-    """Map quarter vectors to physical full-grid fields: F of parity (px, py),
-    as its (x, y) array, becomes R_x P_px F P_py^T R_y^T (mirror maps, then R)."""
+def unfold(bcx: BoundaryOperatorSet, bcy: BoundaryOperatorSet, *fields) -> list:
+    """Quarter vectors (F, parity) as full-grid (x, y) arrays: F of parity
+    (px, py) becomes R_x P_px F P_py^T R_y^T (mirror maps, then R)."""
+    rx = bcx.recovery @ mirror_maps(bcx.n_interior)
+    ry = rx if bcy is bcx else bcy.recovery @ mirror_maps(bcy.n_interior)
+    return [rx[px] @ f.reshape(rx.shape[-1], -1) @ ry[py].T for f, (px, py) in fields]
+
+
+def recover_fields(sys: AssembledSystem, w: np.ndarray, u: np.ndarray,
+                   v: np.ndarray) -> SolutionField:
+    """Map quarter vectors to physical full-grid fields (``unfold``)."""
     w, u, v = (_check_size(sys, z) for z in (w, u, v))
-    rx = sys.bcx.recovery @ mirror_maps(sys.bcx.n_interior)
-    ry = rx if sys.bcy is sys.bcx else sys.bcy.recovery @ mirror_maps(sys.bcy.n_interior)
-    w_full, u_full, v_full = (
-        rx[px] @ f.reshape(sys.quarter_shape) @ ry[py].T
-        for f, (px, py) in ((w, PARITY_W), (u, PARITY_U), (v, PARITY_V))
-    )
+    w_full, u_full, v_full = unfold(sys.bcx, sys.bcy, (w, PARITY_W), (u, PARITY_U), (v, PARITY_V))
     xn, yn = sys.bcx.grid.nodes, sys.bcy.grid.nodes
     spec = sys.spec
     return SolutionField(
-        w_stack=w,
-        u_stack=u,
-        v_stack=v,
-        w=spec.h * w_full,
-        u=spec.a * u_full,
-        v=spec.b * v_full,
-        x=spec.a * xn,
-        y=spec.b * yn,
+        w_stack=w, u_stack=u, v_stack=v,
+        w=spec.h * w_full, u=spec.a * u_full, v=spec.b * v_full, x=spec.a * xn, y=spec.b * yn,
         center_deflection_ratio=_interp_center(w_full, xn, yn),
     )

@@ -10,6 +10,7 @@ from fullgrid_oracle import FullGrid
 from dqplate import bc_builder, dq_core, plate_model
 from dqplate.bc_builder import CLAMPED, SIMPLY_SUPPORTED
 from dqplate.linear_bending import (
+    builtin_center,
     clamped_ritz_coefficient,
     linear_center_builtin,
     linear_center_delta,
@@ -164,11 +165,11 @@ def delta_center_by_dense_rows(spec, delta=1e-5):
      (CLAMPED, 9, 11)],
 )
 def test_delta_rows_match_dense_helpers(bc, nx, ny, table1_ss):
-    """Rows written as Kronecker products of 1-D rows give the center of the
-    rows cut from dense helpers, bitwise.  At N = 5 one x-line lies between
-    the auxiliary x-lines."""
+    """Rows written on the quarter as Kronecker products of folded 1-D rows
+    give the center of the full-grid rows cut from dense helpers, within
+    1e-9.  At N = 5 one x-line lies between the auxiliary x-lines."""
     spec = replace(table1_ss, bc=bc, nx=nx, ny=ny)
-    assert linear_center_delta(spec) == delta_center_by_dense_rows(spec)
+    assert linear_center_delta(spec) == pytest.approx(delta_center_by_dense_rows(spec), rel=1e-9)
 
 
 def test_delta_center_peak_memory(table1_ss):
@@ -182,6 +183,74 @@ def test_delta_center_peak_memory(table1_ss):
     finally:
         tracemalloc.stop()
     assert peak < 3 * (spec.nx * spec.ny) ** 2 * 8
+
+
+QUARTER_DELTA_CASES = (
+    [(bc, "chebyshev", m, m) for bc in (SIMPLY_SUPPORTED, CLAMPED)
+     for m in (5, 6, 7, 8, 9, 11, 13, 21, 31) if (bc, m) != (CLAMPED, 5)]
+    + [(bc, kind, nx, ny) for bc in (SIMPLY_SUPPORTED, CLAMPED)
+       for kind, nx, ny in (("chebyshev", 9, 11), ("chebyshev", 29, 31), ("orthotropic", 7, 7),
+                            ("orthotropic", 29, 31), ("uniform", 5, 8), ("uniform", 9, 11))]
+    + [(bc, "uniform", m, m) for bc in (SIMPLY_SUPPORTED, CLAMPED) for m in (6, 7, 9, 13)]
+)
+
+
+@pytest.mark.parametrize("bc, kind, nx, ny", QUARTER_DELTA_CASES)
+def test_quarter_delta_center_matches_dense_rows(bc, kind, nx, ny, table1_ss, orthotropic_spec):
+    """The auxiliary-point center solved on the quarter is the full-grid
+    center of the dense-row oracle within 1e-9, on Chebyshev grids of every
+    point count up to 31, square or not, isotropic or the a != b orthotropic
+    plate, and within 1e-8 on uniform grids up to 13, whose full-grid
+    system rounds more."""
+    base = orthotropic_spec if kind == "orthotropic" else table1_ss
+    spec = replace(base, bc=bc, nx=nx, ny=ny)
+    if kind == "uniform":
+        spec = replace(spec, grid_kind=UNIFORM)
+    expected = delta_center_by_dense_rows(spec)
+    rel = 1e-8 if kind == "uniform" else 1e-9
+    assert linear_center_delta(spec) == pytest.approx(expected, rel=rel)
+
+
+def test_delta_center_stays_on_the_quarter(table1_ss):
+    """At 31 x 31 the auxiliary-point center peaks below one full-grid
+    operator, 961^2 doubles: it forms no (N^2)^2 array."""
+    spec = replace(table1_ss, nx=31, ny=31)
+    tracemalloc.start()
+    try:
+        linear_center_delta(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (spec.nx * spec.ny) ** 2 * 8
+
+
+@pytest.mark.parametrize("case", ["ss", "clamped", "rectangular", "rectangular-clamped",
+                                  "uniform-ss", "uniform-clamped"])
+def test_lean_builtin_center_is_the_system_center(case, table1_ss, table1_clamped,
+                                                  orthotropic_spec):
+    """The built-in center of a spec, formed without a system, is bitwise the
+    center of the Newton start of the system built for it: the same H4, solve
+    and recovery maps."""
+    spec = {
+        "ss": table1_ss,
+        "clamped": table1_clamped,
+        "rectangular": replace(table1_ss, b=75.0, nx=9, ny=7),
+        "rectangular-clamped": replace(orthotropic_spec, bc=CLAMPED, ny=9),
+        "uniform-ss": replace(table1_ss, nx=13, ny=13, grid_kind=UNIFORM),
+        "uniform-clamped": replace(table1_clamped, nx=13, ny=13, grid_kind=UNIFORM),
+    }[case]
+    assert linear_center_builtin(spec) == builtin_center(build_system(spec))
+
+
+def test_lean_builtin_center_forms_no_inplane_block(table1_clamped, monkeypatch):
+    """The built-in center of a spec never inverts the in-plane block."""
+    expected = builtin_center(build_system(table1_clamped))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_invert_inplane called")
+
+    monkeypatch.setattr(plate_model, "_invert_inplane", refuse)
+    assert linear_center_builtin(table1_clamped) == expected
 
 
 @pytest.mark.parametrize("case", ["ss", "clamped", "rectangular", "rectangular-clamped"])
